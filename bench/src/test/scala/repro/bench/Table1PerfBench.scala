@@ -7,13 +7,14 @@ import repro.attack.{AttackDataGen, InvestigationQueries}
 import repro.baseline.NaiveSqlBaseline
 import repro.core._
 import repro.events.EventStore
+import repro.jobs.JobEnv
 
 /** T1 — per-query execution time of the AIQL system vs the semantically
   * equivalent SQL (paper: Figure 4 + text; AIQL total 3.6 min vs PostgreSQL
   * 77 min, 21x speedup over 19 multievent + 1 anomaly queries).
   *
-  * Scale: REPRO_SF (default 0.3 ≈ 1.5M background events over 3 days,
-  * 45 hosts) vs the paper's 257M events. Absolute times are not comparable;
+  * Scale: REPRO_SF (default 2.0 ≈ 10M background events over 3 days,
+  * 150 hosts) vs the paper's 257M events. Absolute times are not comparable;
   * the shape — AIQL wins on every query, order-of-magnitude total speedup —
   * is the reproduction target.
   */
@@ -39,10 +40,6 @@ class Table1PerfBench extends SparkSpec {
     (aiql, baseline)
   }
 
-  private def timed[A](f: => A): (A, Long) = {
-    val t0 = System.nanoTime(); val a = f; (a, (System.nanoTime() - t0) / 1000000)
-  }
-
   test("Table 1: AIQL vs equivalent-SQL execution time, all 20 queries") {
     val (aiql, baseline) = env
     println(s"=== Table 1 (sf=$sf, hosts=${AttackDataGen.hosts(sf)}, " +
@@ -50,9 +47,9 @@ class Table1PerfBench extends SparkSpec {
     println(f"${"query"}%-6s${"rows"}%8s${"aiql_ms"}%10s${"sql_ms"}%10s${"speedup"}%9s")
     var aiqlTotal = 0L; var sqlTotal = 0L; var wins = 0
     for (q <- InvestigationQueries.all) {
-      val (r1, tA) = timed(aiql.query(q.aiql).collect())
-      val (r2, tS) = timed(baseline.execute(q.aiql).collect())
-      assert(r1.length == r2.length, s"${q.name}: engine/baseline disagree")
+      val (r1, tA) = JobEnv.timedRows(aiql.query(q.aiql))
+      val (r2, tS) = JobEnv.timedRows(baseline.execute(q.aiql))
+      assert(r1 == r2, s"${q.name}: engine/baseline rows disagree")
       aiqlTotal += tA; sqlTotal += tS
       if (tA < tS) wins += 1
       println(f"${q.name}%-6s${r1.length}%8d$tA%10d$tS%10d${tS.toDouble / tA}%9.1f")

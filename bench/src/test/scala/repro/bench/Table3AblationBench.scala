@@ -9,8 +9,10 @@ import repro.events.EventStore
 
 /** T3 (supplemental) — ablation of the engine's domain-specific
   * optimizations (§2.3): pruning-power scheduling, dynamic time-bound
-  * tightening, partition pruning, spatial parallelism. The paper claims
-  * these as the source of its speedup; this bench isolates each.
+  * tightening, partition pruning, broadcast joins. The paper claims these
+  * as the source of its speedup; this bench isolates each. (Its spatial
+  * parallelism is not an arm: on Spark one plan over a multi-agent
+  * footprint already runs its partitions in parallel.)
   */
 class Table3AblationBench extends SparkSpec {
 
@@ -22,11 +24,10 @@ class Table3AblationBench extends SparkSpec {
     "-exactstats" -> AiqlConf(exactSelectivity = false),
     "-pushdown" -> AiqlConf(timeBoundPushdown = false),
     "-pruning" -> AiqlConf(partitionPruning = false),
-    "-parallel" -> AiqlConf(spatialParallelism = false),
     "-broadcast" -> AiqlConf(broadcastThreshold = -1),
     "none" -> AiqlConf(selectivityOrdering = false, exactSelectivity = false,
                        timeBoundPushdown = false, partitionPruning = false,
-                       spatialParallelism = false, broadcastThreshold = -1),
+                       broadcastThreshold = -1),
   )
 
   private val queries = Seq("q04", "q08", "q16", "q19")

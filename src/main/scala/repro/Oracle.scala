@@ -17,7 +17,11 @@ import scala.jdk.CollectionConverters._
   */
 object Oracle {
 
-  private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[String]] = {
+  /** The repository's row canonicaliser: columns ordered by name, values
+    * stringified (fractions to 6 places, null as ∅), rows sorted — two
+    * results are equal as multisets iff their canonical forms are equal.
+    */
+  def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[String]] = {
     val order = cols.sorted
     val idx   = order.map(cols.indexOf)
     rows

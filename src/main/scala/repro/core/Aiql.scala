@@ -13,8 +13,10 @@ final class Aiql(
     conf: AiqlConf = AiqlConf(),
 ) {
 
-  private val multi = new MultiEventEngine(spark, source, conf)
-  private val anomaly = new AnomalyEngine(spark, source, conf)
+  /** The one hot-partition cache both engines read through. */
+  private[repro] val loader = new BaseLoader(spark, source, conf)
+  private val multi = new MultiEventEngine(loader, conf)
+  private val anomaly = new AnomalyEngine(loader)
 
   /** Parse + execute an AIQL query text. */
   def query(text: String): DataFrame = execute(Parser.parse(text))
@@ -26,6 +28,6 @@ final class Aiql(
     case a: AnomalyQuery    => anomaly.execute(a)
   }
 
-  /** Release the engines' hot-partition caches. */
-  def close(): Unit = { multi.close(); anomaly.close() }
+  /** Release the hot-partition and relevant-set caches. */
+  def close(): Unit = { multi.close(); loader.close() }
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 import Ast._
@@ -20,13 +20,9 @@ import Ast._
   * Output: one row per surviving (window, group), with a leading `win`
   * column (window index) followed by the `return` items.
   */
-final class AnomalyEngine(
-    spark: SparkSession,
-    source: EventSource,
-    conf: AiqlConf = AiqlConf(),
-) {
+final class AnomalyEngine private[repro] (loader: BaseLoader) {
 
-  import MultiEventEngine.{defaultAlias, SemanticError}
+  import MultiEventEngine.{aggColumnOf, defaultAlias, keyName, SemanticError}
 
   def execute(q: AnomalyQuery): DataFrame = {
     if (q.stepMs <= 0 || q.windowMs <= 0)
@@ -34,7 +30,7 @@ final class AnomalyEngine(
     val (t0, t1) = Times.window(q.globals).getOrElse(
       throw SemanticError("anomaly query requires a global time window"))
 
-    val base = baseEvents(q.globals).filter(PatternCompiler.compile(q.event))
+    val base = loader.baseEvents(q.globals).filter(PatternCompiler.compile(q.event))
 
     // explode each event into all windows covering its timestamp
     val nWin = ((t1 - t0 + q.stepMs - 1) / q.stepMs).toInt
@@ -57,10 +53,7 @@ final class AnomalyEngine(
       case other => throw SemanticError(s"unresolvable expression $other")
     }
 
-    def keyName(g: Expr): String =
-      q.returns.find(_.expr == g).flatMap(_.alias).getOrElse(defaultAlias(g))
-
-    val keyCols = q.groupBy.map(g => ExprEval.toColumn(g, resolveLeaf).as(keyName(g)))
+    val keyCols = q.groupBy.map(g => ExprEval.toColumn(g, resolveLeaf).as(keyName(q.returns, g)))
     val aggItems = q.returns.collect {
       case ReturnItem(e, al) if ExprEval.hasAgg(e) =>
         (al.getOrElse(defaultAlias(e)), e)
@@ -70,17 +63,12 @@ final class AnomalyEngine(
       if (!q.groupBy.contains(r.expr))
         throw SemanticError(s"return item ${r.expr} is neither aggregated nor grouped")
 
-    val aggCols = aggItems.map { case (name, e) =>
-      (e: @unchecked) match {
-        case Agg("count", VarRef(_)) => count(lit(1)).as(name)
-        case Agg(f, arg) => ExprEval.aggColumn(f, ExprEval.toColumn(arg, resolveLeaf)).as(name)
-      }
-    }
+    val aggCols = aggItems.map { case (name, e) => aggColumnOf(e, resolveLeaf).as(name) }
     val grouped = windowed.groupBy(col("win") +: keyCols: _*).agg(aggCols.head, aggCols.tail: _*)
 
     // historical references alias[k] -> left self-join at window win-k
-    val hists: Seq[(String, Int)] = q.having.toSeq.flatMap(collectHists).distinct
-    val keyNames = q.groupBy.map(keyName)
+    val hists = q.having.toSeq.flatMap(Ast.collectHists).distinct
+    val keyNames = q.groupBy.map(keyName(q.returns, _))
     var joined = grouped
     for ((alias, k) <- hists) {
       if (!aggItems.exists(_._1 == alias))
@@ -105,22 +93,8 @@ final class AnomalyEngine(
 
     val outNames = "win" +: q.returns.map { r =>
       if (ExprEval.hasAgg(r.expr)) r.alias.getOrElse(defaultAlias(r.expr))
-      else keyName(q.groupBy.find(_ == r.expr).get)
+      else keyName(q.returns, q.groupBy.find(_ == r.expr).get)
     }
     filtered.select(outNames.map(col): _*)
   }
-
-  private def collectHists(e: Expr): Seq[(String, Int)] = e match {
-    case HistRef(a, k)  => Seq((a, k))
-    case Bin(_, l, r)   => collectHists(l) ++ collectHists(r)
-    case Not(x)         => collectHists(x)
-    case Agg(_, a)      => collectHists(a)
-    case _              => Seq.empty
-  }
-
-  private val loader = new BaseLoader(spark, source, conf)
-  private def baseEvents(globals: Seq[Global]): DataFrame = loader.baseEvents(globals)
-
-  /** Release the hot-partition cache (see [[BaseLoader]]). */
-  def close(): Unit = loader.close()
 }

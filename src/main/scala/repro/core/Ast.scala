@@ -132,4 +132,13 @@ object Ast {
     case HistRef(a, _)  => Set(a)
     case _              => Set.empty
   }
+
+  /** Every historical reference `alias[k]` in an expression, as (alias, k). */
+  def collectHists(e: Expr): Seq[(String, Int)] = e match {
+    case HistRef(a, k) => Seq((a, k))
+    case Bin(_, l, r)  => collectHists(l) ++ collectHists(r)
+    case Not(x)        => collectHists(x)
+    case Agg(_, a)     => collectHists(a)
+    case _             => Seq.empty
+  }
 }

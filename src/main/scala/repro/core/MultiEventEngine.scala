@@ -1,11 +1,6 @@
 package repro.core
 
-import java.util.concurrent.Executors
-
-import scala.concurrent.duration.Duration
-import scala.concurrent.{Await, ExecutionContext, Future}
-
-import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 import Ast._
@@ -23,18 +18,12 @@ import repro.events.{EventSchema, EventStore}
   *                            derived from `before`/`after` chains
   * @param partitionPruning    prune `(agent_id, day)` store partitions from
   *                            the global constraints
-  * @param spatialParallelism  split a multi-agent query into per-agent
-  *                            sub-queries executed in parallel (§2.3
-  *                            insight 2), when entity sharing keeps all
-  *                            events host-local
   */
 final case class AiqlConf(
     selectivityOrdering: Boolean = true,
     exactSelectivity: Boolean = true,
     timeBoundPushdown: Boolean = true,
     partitionPruning: Boolean = true,
-    spatialParallelism: Boolean = true,
-    parallelism: Int = 8,
     /** Dynamic ts-bound tightening costs one small aggregation job; it only
       * pays off when the pattern it would prune is large. The engine applies
       * it when the pattern's measured count exceeds this threshold — a
@@ -60,20 +49,25 @@ final case class InMemory(df: DataFrame) extends EventSource
 /** Loads the base events for a query's global constraints, with partition
   * pruning and a hot-partition cache: the paper's store keeps the
   * partitions under investigation in memory (in-memory indexes /
-  * hypertable); here the pruned base of each (agents, days) footprint is
-  * cached on first use and reused by the statistics pass, every pattern
-  * scan, and later queries over the same footprint. Release with [[close]].
+  * hypertable); here each `(agent_id, day)` store partition an agent-bound
+  * query touches is pinned on first use, and the query's footprint is the
+  * union of its partitions' pins. Overlapping footprints (a host-scoped
+  * query, then a multi-agent one on the same day) therefore share one copy,
+  * reused by the statistics pass, every pattern scan, and later queries.
+  * One loader serves all engines of an [[Aiql]]. Release with [[close]].
   */
 private[repro] final class BaseLoader(
     spark: SparkSession, source: EventSource, conf: AiqlConf) {
 
-  private val cache = scala.collection.concurrent.TrieMap[
-    (Option[Seq[Int]], Option[Seq[String]]), (DataFrame, Long)]()
+  private val pins = scala.collection.mutable.Map[(Int, String), (DataFrame, Long)]()
+
+  /** The `(agent_id, day)` partitions pinned in memory. */
+  def pinned: Set[(Int, String)] = synchronized(pins.keySet.toSet)
 
   /** Unpersist every partition this loader pinned in memory. */
-  def close(): Unit = {
-    cache.values.foreach(_._1.unpersist())
-    cache.clear()
+  def close(): Unit = synchronized {
+    pins.values.foreach(_._1.unpersist())
+    pins.clear()
   }
 
   def baseEvents(globals: Seq[Ast.Global]): DataFrame =
@@ -83,7 +77,7 @@ private[repro] final class BaseLoader(
     * count. The residual global predicate is always applied on top of the
     * (possibly partition-pruned) scan. Only agent-bound footprints are
     * pinned and counted — they are small, and their size is the engine's
-    * cheapest statistic (one count per footprint, amortized over every
+    * cheapest statistic (one count per partition, amortized over every
     * query investigating that host); a day-wide footprint is left to the
     * vectorized Parquet scan, which outruns Spark's in-memory cache format
     * on wide rows.
@@ -97,43 +91,47 @@ private[repro] final class BaseLoader(
           if (conf.partitionPruning)
             Times.window(globals).map { case (s, t) => Times.daysOf(s, t) }
           else None
-        if (agents.isEmpty) (EventStore.readPruned(spark, p, agents, days), None)
-        else {
-          val (cached, n) = cache.getOrElseUpdate((agents, days), {
-            val c = EventStore.readPruned(spark, p, agents, days).cache()
-            (c, c.count())
-          })
-          (cached, Some(n))
+        agents match {
+          case None => (EventStore.readPruned(spark, p, agents, days), None)
+          case Some(as) =>
+            val parts = pin(p, EventStore.partitions(p, as, days))
+            if (parts.isEmpty) (EventStore.readPruned(spark, p, agents, days), Some(0L))
+            else (parts.map(_._1).reduce(_ union _), Some(parts.map(_._2).sum))
         }
     }
     (df.filter(PatternCompiler.globalPred(globals)), rows)
   }
+
+  /** The pinned frames and row counts of `parts`. Partitions not pinned yet
+    * are cached and counted together — one aggregation over their union,
+    * each tagged with its index — so a footprint costs at most one count
+    * however many of its partitions are new.
+    */
+  private def pin(path: String, parts: Seq[(Int, String)]): Seq[(DataFrame, Long)] = synchronized {
+    val fresh = parts.filterNot(pins.contains)
+    if (fresh.nonEmpty) {
+      val frames = fresh.map(EventStore.readPartition(spark, path, _).cache())
+      val tagged = frames.zipWithIndex.map { case (f, i) => f.select(lit(i).as("pin")) }
+      val counts = fresh.indices.map(i => count(when(col("pin") === i, 1)))
+      val row = tagged.reduce(_ union _).agg(counts.head, counts.tail: _*).collect()(0)
+      for (i <- fresh.indices) pins(fresh(i)) = (frames(i), row.getLong(i))
+    }
+    parts.map(pins)
+  }
 }
 
 /** Executes multievent AIQL queries with the paper's optimized scheduling:
-  * one data query per event pattern, most-selective-first staged joins,
-  * dynamic time-bound tightening, and spatial query partitioning — instead
-  * of handing one big multi-join SQL to the default scheduler.
+  * one data query per event pattern, most-selective-first staged joins and
+  * dynamic time-bound tightening — instead of handing one big multi-join SQL
+  * to the default scheduler. A multi-agent query runs as one plan over its
+  * pinned partitions; Spark parallelizes it across them.
   *
   * Result columns follow the `return` clause (shortcut aliases applied), so
   * results are directly comparable with the synthesized equivalent SQL.
   */
-final class MultiEventEngine(
-    spark: SparkSession,
-    source: EventSource,
-    conf: AiqlConf = AiqlConf(),
-) {
+final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf) {
 
   import MultiEventEngine._
-
-  /** Run a multievent query and return the projected matches. */
-  def execute(q: MultiEventQuery): DataFrame = {
-    validate(q)
-    val agents = Times.agents(q.globals)
-    val partitionable = agents.exists(_.size > 1) && spatiallyPartitionable(q)
-    if (conf.spatialParallelism && partitionable) executeParallel(q, agents.get)
-    else executeSingle(q)
-  }
 
   // ------------------------------------------------------------ validation
 
@@ -153,34 +151,6 @@ final class MultiEventEngine(
         throw SemanticError(s"temporal relation references undeclared event '$side'")
   }
 
-  /** Per-agent partitioning is sound iff every match binds all events to one
-    * host: the event graph with edges for shared *host-local* entity
-    * variables must be connected (an `ip` variable does not pin events to a
-    * host — that is what lets dependency queries cross hosts).
-    */
-  private[core] def spatiallyPartitionable(q: MultiEventQuery): Boolean = {
-    val n = q.events.size
-    if (n <= 1) return true
-    val varKind = q.events.flatMap(Ast.entityOccurrences(_).map(o => o._1 -> o._2)).toMap
-    val adj = Array.fill(n)(scala.collection.mutable.Set[Int]())
-    for (i <- 0 until n; j <- (i + 1) until n) {
-      val shared = (q.events(i).subj.name :: q.events(i).obj.name :: Nil).intersect(
-                    q.events(j).subj.name :: q.events(j).obj.name :: Nil)
-      if (shared.exists(v => Attrs.isHostLocal(varKind(v)))) { adj(i) += j; adj(j) += i }
-    }
-    val seen = scala.collection.mutable.Set(0)
-    val stack = scala.collection.mutable.Stack(0)
-    while (stack.nonEmpty) {
-      for (nb <- adj(stack.pop()) if !seen(nb)) { seen += nb; stack.push(nb) }
-    }
-    seen.size == n
-  }
-
-  // --------------------------------------------------------------- source
-
-  private val loader = new BaseLoader(spark, source, conf)
-  private def baseEvents(globals: Seq[Global]): DataFrame = loader.baseEvents(globals)
-
   /** Per-query relevant-set caches, rotated so at most a handful stay
     * pinned (a result DataFrame may be collected after the next query has
     * begun — unpersisting merely degrades that to recompute).
@@ -194,37 +164,14 @@ final class MultiEventEngine(
     df
   }
 
-  /** Release the hot-partition and relevant-set caches. */
+  /** Release the relevant-set caches ([[Aiql.close]] releases the pins). */
   def close(): Unit = {
-    loader.close()
     relevantCaches.synchronized {
       while (!relevantCaches.isEmpty) relevantCaches.pollFirst().unpersist()
     }
   }
 
   // ------------------------------------------------------------ execution
-
-  /** §2.3 insight 2: independent per-agent sub-queries, materialized in
-    * parallel (concurrent Spark actions), results unioned.
-    */
-  private def executeParallel(q: MultiEventQuery, agents: Seq[Int]): DataFrame = {
-    val pool = Executors.newFixedThreadPool(math.max(1, math.min(conf.parallelism, agents.size)))
-    implicit val ec: ExecutionContext = ExecutionContext.fromExecutor(pool)
-    try {
-      val subs = agents.map { a =>
-        Future {
-          val sub = q.copy(globals =
-            q.globals.filterNot(_.isInstanceOf[AgentIn]) :+ AgentIn(Seq(a)))
-          val df = executeSingle(sub)
-          (df.schema, df.collect())
-        }
-      }
-      val parts = Await.result(Future.sequence(subs), Duration.Inf)
-      val schema = parts.head._1
-      val rows: java.util.List[Row] = java.util.Arrays.asList(parts.flatMap(_._2): _*)
-      spark.createDataFrame(rows, schema)
-    } finally pool.shutdown()
-  }
 
   /** Scan-time ts bounds (exclusive low / high) for one pattern, or None
     * when the bound state is already known empty.
@@ -236,10 +183,11 @@ final class MultiEventEngine(
       hi.foreach(v => c = c && tsCol < v)
       c
     }
-    def isUnbounded: Boolean = lo.isEmpty && hi.isEmpty
   }
 
-  private def executeSingle(q: MultiEventQuery): DataFrame = {
+  /** Run a multievent query and return the projected matches. */
+  def execute(q: MultiEventQuery): DataFrame = {
+    validate(q)
     val (base, footRows) = loader.baseEventsWithSize(q.globals)
     val n = q.events.size
     val preds = q.events.map(PatternCompiler.compile)
@@ -484,10 +432,7 @@ final class MultiEventEngine(
         throw SemanticError("non-aggregate return items require 'group by'")
       // name group keys after the return item that matches them (or a
       // positional name), aggregate the rest
-      def keyName(g: Expr): String =
-        q.returns.find(_.expr == g).flatMap(_.alias)
-          .getOrElse(defaultAlias(g))
-      val keyCols = q.groupBy.map(g => ExprEval.toColumn(g, resolveLeaf).as(keyName(g)))
+      val keyCols = q.groupBy.map(g => ExprEval.toColumn(g, resolveLeaf).as(keyName(q.returns, g)))
       val aggCols = q.returns.collect {
         case ReturnItem(e, al) if ExprEval.hasAgg(e) =>
           aggColumnOf(e, resolveLeaf).as(al.getOrElse(defaultAlias(e)))
@@ -500,17 +445,11 @@ final class MultiEventEngine(
         else {
           val g = q.groupBy.find(_ == r.expr).getOrElse(
             throw SemanticError(s"return item ${r.expr} is neither aggregated nor grouped"))
-          keyName(g)
+          keyName(q.returns, g)
         }
       }
       grouped.select(outNames.map(col): _*)
     }
-  }
-
-  private def aggColumnOf(e: Expr, resolve: Expr => Column): Column = e match {
-    case Agg("count", VarRef(_)) => count(lit(1))
-    case Agg(f, arg)             => ExprEval.aggColumn(f, ExprEval.toColumn(arg, resolve))
-    case other => throw SemanticError(s"expected aggregate, got $other")
   }
 }
 
@@ -526,5 +465,18 @@ object MultiEventEngine {
     case AttrRef(v, a) => s"${v}_$a"
     case Agg(f, arg)   => s"${f}_${defaultAlias(arg)}"
     case _             => "expr"
+  }
+
+  /** Output name of a `group by` key: the alias of the return item it
+    * matches, else its default alias.
+    */
+  def keyName(returns: Seq[ReturnItem], g: Expr): String =
+    returns.find(_.expr == g).flatMap(_.alias).getOrElse(defaultAlias(g))
+
+  /** Spark aggregate of an aggregate return item; `count(evt)` counts rows. */
+  def aggColumnOf(e: Expr, resolve: Expr => Column): Column = e match {
+    case Agg("count", VarRef(_)) => count(lit(1))
+    case Agg(f, arg)             => ExprEval.aggColumn(f, ExprEval.toColumn(arg, resolve))
+    case other => throw SemanticError(s"expected aggregate, got $other")
   }
 }

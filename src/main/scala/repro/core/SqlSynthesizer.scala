@@ -1,7 +1,7 @@
 package repro.core
 
 import Ast._
-import MultiEventEngine.defaultAlias
+import MultiEventEngine.{defaultAlias, keyName}
 import repro.events.EventSchema
 
 /** Synthesizes the semantically equivalent flat SQL for an AIQL query — the
@@ -166,9 +166,7 @@ object SqlSynthesizer {
       case other => throw SynthError(s"unresolvable leaf $other")
     }
 
-    def keyName(g: Expr): String =
-      q.returns.find(_.expr == g).flatMap(_.alias).getOrElse(defaultAlias(g))
-    val keySqls = q.groupBy.map(g => s"${exprSql(g, leafSql)} AS ${keyName(g)}")
+    val keySqls = q.groupBy.map(g => s"${exprSql(g, leafSql)} AS ${keyName(q.returns, g)}")
     val aggItems = q.returns.collect {
       case ReturnItem(e, al) if ExprEval.hasAgg(e) => (al.getOrElse(defaultAlias(e)), e)
     }
@@ -181,8 +179,8 @@ object SqlSynthesizer {
          |  WHERE ${allPreds.mkString("\n    AND ")}
          |  GROUP BY ${(qcol("w", "win") +: q.groupBy.map(g => exprSql(g, leafSql))).mkString(", ")}""".stripMargin
 
-    val keyNames = q.groupBy.map(keyName)
-    val hists = q.having.toSeq.flatMap(collectHists).distinct
+    val keyNames = q.groupBy.map(keyName(q.returns, _))
+    val hists = q.having.toSeq.flatMap(Ast.collectHists).distinct
     var havingConstraints = 0
     val joins = hists.map { case (alias, k) =>
       havingConstraints += 1 + keyNames.size
@@ -205,7 +203,7 @@ object SqlSynthesizer {
     val outer = ("a0.win AS win" +: q.returns.map { r =>
       val name =
         if (ExprEval.hasAgg(r.expr)) r.alias.getOrElse(defaultAlias(r.expr))
-        else keyName(q.groupBy.find(_ == r.expr).getOrElse(
+        else keyName(q.returns, q.groupBy.find(_ == r.expr).getOrElse(
           throw SynthError(s"return item ${r.expr} is neither aggregated nor grouped")))
       s"a0.$name AS $name"
     }).mkString(", ")
@@ -221,14 +219,6 @@ object SqlSynthesizer {
   }
 
   // --------------------------------------------------------------- shared
-
-  private def collectHists(e: Expr): Seq[(String, Int)] = e match {
-    case HistRef(a, k) => Seq((a, k))
-    case Bin(_, l, r)  => collectHists(l) ++ collectHists(r)
-    case Not(x)        => collectHists(x)
-    case Agg(_, a)     => collectHists(a)
-    case _             => Seq.empty
-  }
 
   /** Count of atomic comparisons in an expression. */
   def countAtoms(e: Expr): Int = e match {

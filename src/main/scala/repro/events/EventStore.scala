@@ -72,43 +72,51 @@ object EventStore {
                  agents: Option[Seq[Int]], days: Option[Seq[String]]): DataFrame =
     (agents, days) match {
       case (None, None) => read(spark, path)
-      case (Some(_), _) =>
-        val agentDirs = subdirs(byAgentDay(path), "agent_id=").filter { d =>
-          val v = d.getFileName.toString.stripPrefix("agent_id=").toInt
-          agents.forall(_.contains(v))
-        }
-        val leafDirs = agentDirs.flatMap(d => subdirs(d.toString, "day=")).filter { d =>
-          val v = d.getFileName.toString.stripPrefix("day=")
-          days.forall(_.contains(v))
-        }
-        readDirs(spark, byAgentDay(path), leafDirs)
-      case (None, Some(_)) =>
-        val dayDirs = subdirs(byDay(path), "day=").filter { d =>
-          val v = d.getFileName.toString.stripPrefix("day=")
-          days.forall(_.contains(v))
-        }
-        readDirs(spark, byDay(path), dayDirs)
+      case (Some(as), _) =>
+        readDirs(spark, byAgentDay(path), partitions(path, as, days).map(partitionDir(path)))
+      case (None, Some(ds)) =>
+        val dayDirs = subdirs(byDay(path), "day=").filter(d => ds.contains(d.stripPrefix("day=")))
+        readDirs(spark, byDay(path), dayDirs.map(d => s"${byDay(path)}/$d"))
     }
 
-  private def subdirs(path: String, prefix: String): Seq[java.nio.file.Path] = {
+  /** The `(agent_id, day)` partitions the store holds for `agents`, on
+    * `days` when given and on every stored day otherwise.
+    */
+  def partitions(path: String, agents: Seq[Int],
+                 days: Option[Seq[String]]): Seq[(Int, String)] =
+    for {
+      a <- agents.distinct
+      d <- subdirs(s"${byAgentDay(path)}/agent_id=$a", "day=").map(_.stripPrefix("day=")).sorted
+      if days.forall(_.contains(d))
+    } yield (a, d)
+
+  /** Read one `(agent_id, day)` partition of the `by_agent_day` layout. */
+  def readPartition(spark: SparkSession, path: String, part: (Int, String)): DataFrame =
+    readDirs(spark, byAgentDay(path), Seq(partitionDir(path)(part)))
+
+  private def partitionDir(path: String)(part: (Int, String)): String =
+    s"${byAgentDay(path)}/agent_id=${part._1}/day=${part._2}"
+
+  /** Names of the subdirectories of `path` that start with `prefix`. */
+  private def subdirs(path: String, prefix: String): Seq[String] = {
     import scala.jdk.CollectionConverters._
     val p = java.nio.file.Paths.get(path)
     if (!java.nio.file.Files.isDirectory(p)) Seq.empty
     else java.nio.file.Files.list(p).iterator.asScala
-      .filter(d => java.nio.file.Files.isDirectory(d) &&
-                   d.getFileName.toString.startsWith(prefix))
+      .filter(java.nio.file.Files.isDirectory(_))
+      .map(_.getFileName.toString)
+      .filter(_.startsWith(prefix))
       .toSeq
   }
 
-  private def readDirs(spark: SparkSession, basePath: String,
-                       dirs: Seq[java.nio.file.Path]): DataFrame =
+  private def readDirs(spark: SparkSession, basePath: String, dirs: Seq[String]): DataFrame =
     if (dirs.isEmpty)
       spark.createDataFrame(spark.sparkContext.emptyRDD[Row], EventSchema.schema)
     else
       spark.read
         .option("basePath", basePath)
         .schema(EventSchema.schema)
-        .parquet(dirs.map(_.toString): _*)
+        .parquet(dirs: _*)
         .select(EventSchema.columns.map(col): _*)
 
   /** A deliberately *unpartitioned* copy of the store, as the flat relational

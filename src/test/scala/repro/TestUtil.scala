@@ -3,27 +3,12 @@ package repro
 import org.apache.spark.sql.{DataFrame, Row}
 
 /** Shared assertion helpers for comparing DataFrames across execution paths
-  * (optimized engine vs naive SQL baseline) with Oracle-style
-  * canonicalization: column order normalized, rows stringified and sorted.
+  * (optimized engine vs naive SQL baseline) through [[Oracle.canon]]:
+  * column order normalized, rows stringified and sorted.
   */
 object TestUtil {
 
-  def canon(df: DataFrame): Seq[Seq[String]] = {
-    val cols = df.columns.toSeq
-    val order = cols.sorted
-    val idx = order.map(cols.indexOf)
-    df.collect().toSeq
-      .map(r => idx.map { i =>
-        r.get(i) match {
-          case null                     => "∅"
-          case d: Double                => f"$d%.6f"
-          case f: Float                 => f"${f.toDouble}%.6f"
-          case bd: java.math.BigDecimal => f"${bd.doubleValue}%.6f"
-          case x                        => x.toString
-        }
-      })
-      .sortBy(_.mkString(""))
-  }
+  def canon(df: DataFrame): Seq[Seq[String]] = Oracle.canon(df.collect().toSeq, df.columns.toSeq)
 
   /** Assert both frames hold the same multiset of rows (same columns up to
     * order).

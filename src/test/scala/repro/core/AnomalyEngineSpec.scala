@@ -28,7 +28,7 @@ class AnomalyEngineSpec extends SparkSpec {
   }
 
   private def run(src: String): org.apache.spark.sql.DataFrame =
-    new AnomalyEngine(spark, InMemory(df)).execute(
+    new AnomalyEngine(new BaseLoader(spark, InMemory(df), AiqlConf())).execute(
       Parser.parse(src).asInstanceOf[Ast.AnomalyQuery])
 
   private val header = "(at \"08/01/2023\")\nwindow = 10 sec, step = 10 sec"

@@ -47,13 +47,16 @@ trait EngineFixture { self: SparkSpec =>
     df
   }
 
+  def loader(conf: AiqlConf = AiqlConf()): BaseLoader =
+    new BaseLoader(spark, InMemory(fixtureDf), conf)
+
   def engine(conf: AiqlConf = AiqlConf()): MultiEventEngine =
-    new MultiEventEngine(spark, InMemory(fixtureDf), conf)
+    new MultiEventEngine(loader(conf), conf)
 
   def run(src: String, conf: AiqlConf = AiqlConf()): DataFrame =
     Parser.parse(src) match {
       case m: Ast.MultiEventQuery => engine(conf).execute(m)
       case d: Ast.DependencyQuery => engine(conf).execute(DependencyCompiler.compile(d))
-      case a: Ast.AnomalyQuery    => new AnomalyEngine(spark, InMemory(fixtureDf), conf).execute(a)
+      case a: Ast.AnomalyQuery    => new AnomalyEngine(loader(conf)).execute(a)
     }
 }

@@ -206,9 +206,8 @@ class MultiEventEngineSpec extends SparkSpec with EngineFixture {
     "declared-order" -> AiqlConf(selectivityOrdering = false),
     "heuristic-selectivity" -> AiqlConf(exactSelectivity = false),
     "no-pushdown" -> AiqlConf(timeBoundPushdown = false),
-    "no-parallel" -> AiqlConf(spatialParallelism = false),
     "all-off" -> AiqlConf(selectivityOrdering = false, exactSelectivity = false,
-                          timeBoundPushdown = false, spatialParallelism = false),
+                          timeBoundPushdown = false),
   )
 
   private val crossCheckQueries = Seq(
@@ -244,50 +243,5 @@ class MultiEventEngineSpec extends SparkSpec with EngineFixture {
       val baseline = new NaiveSqlBaseline(spark, fixtureDf)
       TestUtil.assertSameRows(run(q), baseline.execute(q), s"baseline q$k")
     }
-  }
-
-  // -------------------------------------------------- spatial partitioning
-
-  private def multi(src: String) = Parser.parse(src).asInstanceOf[MultiEventQuery]
-
-  test("host-local-linked query is spatially partitionable") {
-    val q = multi(
-      """proc p1 start proc p2 as evt1
-        |proc p2 write file f as evt2
-        |return p1""".stripMargin)
-    assert(engine().spatiallyPartitionable(q))
-  }
-
-  test("ip-linked query is not spatially partitionable") {
-    val q = multi(
-      """proc p1 write ip i as evt1
-        |proc p2 connect ip i as evt2
-        |return p1""".stripMargin)
-    assert(!engine().spatiallyPartitionable(q))
-  }
-
-  test("disconnected query is not spatially partitionable") {
-    val q = multi(
-      """proc p1 write file f as evt1
-        |proc p2 write file g as evt2
-        |return p1""".stripMargin)
-    assert(!engine().spatiallyPartitionable(q))
-  }
-
-  test("single-event query is spatially partitionable") {
-    val q = multi("proc p write file f as evt\nreturn p")
-    assert(engine().spatiallyPartitionable(q))
-  }
-
-  test("parallel execution equals single execution on a multi-agent query") {
-    val q = s"""$at
-               |agentid in (1, 2)
-               |proc p1["%cmd.exe"] start proc p2 as evt1
-               |proc p2 write file f as evt2
-               |return p1, p2, f, evt2.agentid""".stripMargin
-    TestUtil.assertSameRows(
-      run(q, AiqlConf(spatialParallelism = true)),
-      run(q, AiqlConf(spatialParallelism = false)),
-      "parallel-vs-single")
   }
 }

@@ -92,13 +92,4 @@ class PropertySpec extends AnyFunSuite {
         .asInstanceOf[MultiEventQuery].events.head.op == op
     })
   }
-
-  test("zipf keys stay in range and skew toward small keys") {
-    val spark = repro.SparkSpec.shared
-    val df = repro.SynthData.zipfKeys(spark, rows = 20000, nKeys = 100).cache()
-    val ks = df.selectExpr("k").collect().map(_.getLong(0))
-    assert(ks.forall(k => k >= 1 && k <= 100))
-    val ones = ks.count(_ == 1)
-    assert(ones > ks.length / 20)
-  }
 }

@@ -136,7 +136,7 @@ class SqlSynthesizerSpec extends SparkSpec with EngineFixture {
   }
 
   test("anomaly SQL executes equivalently to the anomaly engine") {
-    val eng = new AnomalyEngine(spark, InMemory(fixtureDf))
+    val eng = new AnomalyEngine(loader())
     val baseline = new NaiveSqlBaseline(spark, fixtureDf)
     TestUtil.assertSameRows(eng.execute(qa), baseline.execute(qa), "synth-anomaly")
   }
