@@ -1,7 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import scala.jdk.CollectionConverters._
+
+import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{StructField, StructType}
 
 import Ast._
 import repro.events.{EventSchema, EventStore}
@@ -34,7 +37,9 @@ final case class AiqlConf(
       * them instead of shuffling; the Spark analog is a broadcast-hash join.
       * Pattern frames whose measured count is at or below this threshold are
       * broadcast into the staged join (set < 0 to disable; the naive SQL
-      * comparator has no stats and keeps default shuffle joins).
+      * comparator has no stats and keeps default shuffle joins). A
+      * multi-pattern query over a pinned footprint of at most this many rows
+      * is joined in the driver, as long as its joined rows stay within it.
       */
     broadcastThreshold: Long = 200000,
 )
@@ -189,24 +194,36 @@ final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf)
   def execute(q: MultiEventQuery): DataFrame = {
     validate(q)
     val (base, footRows) = loader.baseEventsWithSize(q.globals)
-    val n = q.events.size
     val preds = q.events.map(PatternCompiler.compile)
+    val cols = usedColumns(q)
 
     // Cost-based fast path: a footprint the store already measured as small
-    // (one pinned host-day or similar) needs no per-pattern statistics —
-    // every leg is bounded by the footprint, so everything can be broadcast
-    // and ordered heuristically, and the whole query runs as one action.
+    // (one pinned host-day or similar) bounds every pattern, so a
+    // multi-pattern query over it is joined in the driver from one Spark
+    // action. A driver join that outgrows its bound runs as staged Spark
+    // joins, as for a footprint of unknown size.
     val smallFoot = conf.exactSelectivity && conf.broadcastThreshold >= 0 &&
       footRows.exists(_ <= conf.broadcastThreshold)
+    val joined =
+      (if (smallFoot && q.events.size > 1) joinInDriver(q, base, preds, cols) else None)
+        .getOrElse(joinInSpark(q, base, preds, cols))
+    project(q, joined, firstOccurrences(q.events))
+  }
+
+  /** The staged Spark plan: per-pattern scans of the relevant set, ordered
+    * by pruning power, joined left-deep with stats-gated broadcasts and
+    * dynamic ts-bound tightening. Columns are prefixed with the event alias.
+    */
+  private def joinInSpark(q: MultiEventQuery, base: DataFrame, preds: Seq[Column],
+                          cols: Seq[String]): DataFrame = {
+    val n = q.events.size
 
     // Relevant-set extraction: one pass over the (pruned) base keeps only
     // rows matching SOME pattern, projected to the columns the query can
     // touch; the statistics aggregation and every join leg then read this
     // much smaller cached set instead of re-scanning the base per pattern.
-    // (With a small pinned footprint the base itself is the in-memory set.)
-    val cols = usedColumns(q)
     val relevant =
-      if (n <= 1 || smallFoot) base.select(cols.map(col): _*)
+      if (n <= 1) base.select(cols.map(col): _*)
       else registerRelevant(
         base.filter(preds.reduce(_ || _)).select(cols.map(col): _*).cache())
 
@@ -220,7 +237,7 @@ final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf)
     // pruning-power statistics: ALL pattern counts from one scan (which
     // also materializes the relevant-set cache) — the engine's analog of
     // consulting DB stats. Skipped when they cannot influence anything.
-    val wantStats = conf.exactSelectivity && n > 1 && !smallFoot &&
+    val wantStats = conf.exactSelectivity && n > 1 &&
       (conf.selectivityOrdering || conf.timeBoundPushdown || conf.broadcastThreshold >= 0)
     val counts: Array[Long] =
       if (!wantStats) Array.fill(n)(-1L)
@@ -235,36 +252,22 @@ final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf)
       else if (wantStats) q.events.indices.sortBy(i => (counts(i), i))
       else Selectivity.heuristicOrder(q.events)
 
-    val firstOcc = firstOccurrences(q.events)
+    def small(x: Long) = conf.broadcastThreshold >= 0 && x >= 0 && x <= conf.broadcastThreshold
 
     var state: DataFrame = null
     var stateEst: Long = -1L // running size upper-bound estimate of `state`
     var knownEmpty = counts.contains(0L)
-    val bound = scala.collection.mutable.LinkedHashSet[String]()
-    val boundVars = scala.collection.mutable.Map[String, (String, String, String)]()
-    val remaining = scala.collection.mutable.ArrayBuffer(order: _*)
 
-    while (remaining.nonEmpty) {
-      // prefer patterns connected to the bound set (shared vars or temporal
-      // relation — both yield join conditions), in selectivity order
-      val pickPos = remaining.indexWhere(i => connected(q, i, bound, boundVars)) match {
-        case -1 => 0
-        case p  => p
-      }
-      val i = remaining.remove(pickPos)
-      val e = q.events(i)
-
+    for (Stage(i, terms) <- stages(q, order)) {
       // stats-gated dynamic tightening: worth an extra aggregation job only
       // when the pattern to be scanned is large AND the intermediate state
       // is not already small enough to broadcast (a broadcast probe makes
       // the join cheap regardless of the streamed side's size)
-      val stateBroadcastable = conf.broadcastThreshold >= 0 &&
-        ((stateEst >= 0 && stateEst <= conf.broadcastThreshold) || smallFoot)
       val wantBounds = conf.timeBoundPushdown && state != null && !knownEmpty &&
-        !stateBroadcastable && (counts(i) < 0 || counts(i) > conf.pushdownThreshold)
+        !small(stateEst) && (counts(i) < 0 || counts(i) > conf.pushdownThreshold)
       val bounds: TsBounds =
         if (!wantBounds) TsBounds(None, None)
-        else timeBounds(q, e.alias, bound, state).getOrElse { knownEmpty = true; TsBounds(None, None) }
+        else timeBounds(q.events(i).alias, terms, state).getOrElse { knownEmpty = true; TsBounds(None, None) }
 
       val df = prefixed(i, if (knownEmpty) lit(false) else bounds.pred(col("ts")))
 
@@ -277,27 +280,98 @@ final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf)
         // the running upper-bound estimate min(counts of joined patterns);
         // joins can only multiply through shared keys, which the staged
         // order keeps rare, so the smaller measured side wins the hint.
-        def small(x: Long) = conf.broadcastThreshold >= 0 &&
-          ((x >= 0 && x <= conf.broadcastThreshold) || (x < 0 && smallFoot))
         val (l, r) =
           if (small(counts(i)) && (!small(stateEst) || counts(i) <= stateEst))
             (state, broadcast(df))
           else if (small(stateEst)) (broadcast(state), df)
           else (state, df)
-        joinCondition(q, i, bound, boundVars) match {
-          case Some(c) => state = l.join(r, c, "inner")
-          case None    => state = l.crossJoin(r)
-        }
+        state =
+          if (terms.isEmpty) l.crossJoin(r)
+          else l.join(r, terms.map(_.column).reduce(_ && _), "inner")
         if (counts(i) >= 0)
           stateEst = if (stateEst < 0) counts(i) else math.min(stateEst, counts(i))
       }
+    }
+    state
+  }
 
-      bound += e.alias
-      for ((v, k, r) <- Ast.entityOccurrences(e) if !boundVars.contains(v))
-        boundVars(v) = (e.alias, k, r)
+  /** The staged joins of a small footprint, run in the driver — the paper's
+    * engine keeping small per-pattern results in memory and probing them.
+    * One Spark action collects the footprint's rows that match any pattern,
+    * each flagged with the patterns it matches (so Spark still evaluates
+    * every predicate); the flags give exact per-pattern counts for the
+    * pruning-power order. Each stage of [[stages]] is a hash join on its
+    * `Eq` terms; within a bucket, sorted by `ts`, a probe reads only the
+    * range its `Before` terms allow. Returns the joined rows as a local
+    * frame, or None as soon as they outgrow `broadcastThreshold` rows.
+    */
+  private def joinInDriver(q: MultiEventQuery, base: DataFrame, preds: Seq[Column],
+                           cols: Seq[String]): Option[DataFrame] = {
+    val n = q.events.size
+    val flagged = base.filter(preds.reduce(_ || _))
+      .select(cols.map(col) ++ preds.zipWithIndex.map { case (p, i) => p.as(s"match$i") }: _*)
+    val rows = flagged.collect()
+    val matches = q.events.indices.map { i =>
+      val f = cols.size + i
+      rows.filter(r => !r.isNullAt(f) && r.getBoolean(f))
+    }
+    val order =
+      if (conf.selectivityOrdering) q.events.indices.sortBy(i => (matches(i).length, i))
+      else q.events.indices
+
+    val slot = q.events.map(_.alias).zipWithIndex.toMap
+    val colAt = cols.zipWithIndex.toMap
+    val ts = colAt("ts")
+
+    // A joined tuple holds one matching row per bound pattern, by position.
+    // `ts` is never null in the store, so the `Before` ranges need no null check.
+    def probe(state: Vector[Array[Row]], stage: Stage): Option[Vector[Array[Row]]] = {
+      val alias = q.events(stage.i).alias
+      // (slot, column) of each key's bound side, and its column in the new pattern
+      val keys = stage.terms.collect { case Eq(b, n) => (slot(b.alias), colAt(b.column), colAt(n.column)) }
+      val lows = stage.terms.collect { case Before(l, `alias`) => slot(l) }
+      val highs = stage.terms.collect { case Before(`alias`, h) => slot(h) }
+      val buckets = matches(stage.i)
+        .groupBy(r => keys.map { case (_, _, c) => r.get(c) })
+        .collect { case (k, rs) if !k.contains(null) =>
+          val sorted = rs.sortBy(_.getLong(ts))
+          k -> (sorted, sorted.map(_.getLong(ts)))
+        }
+      val out = Vector.newBuilder[Array[Row]]
+      var size = 0
+      val it = state.iterator
+      while (it.hasNext && size <= conf.broadcastThreshold) {
+        val t = it.next()
+        for ((rs, times) <- buckets.get(keys.map { case (s, c, _) => t(s).get(c) })) {
+          val from = lows.map(t(_).getLong(ts)).maxOption.fold(0)(lo => firstIndex(times)(_ > lo))
+          val until = highs.map(t(_).getLong(ts)).minOption.fold(times.length)(hi => firstIndex(times)(_ >= hi))
+          for (k <- from until until) { val u = t.clone(); u(stage.i) = rs(k); out += u }
+          size += math.max(0, until - from)
+        }
+      }
+      if (size > conf.broadcastThreshold) None else Some(out.result())
     }
 
-    project(q, state, firstOcc)
+    stages(q, order).foldLeft(Option(Vector(new Array[Row](n))))((s, st) => s.flatMap(probe(_, st)))
+      .map { tuples =>
+        val schema = StructType(for (e <- q.events; c <- cols)
+          yield StructField(s"${e.alias}__$c", flagged.schema(c).dataType))
+        val out = tuples.map(t => Row.fromSeq(t.toSeq.flatMap(r => cols.indices.map(r.get))))
+        base.sparkSession.createDataFrame(out.asJava, schema)
+      }
+  }
+
+  /** First index of the sorted `xs` at which `p` holds (`xs.length` if
+    * none); `p` must be false on a prefix of `xs` and true after it.
+    */
+  private def firstIndex(xs: Array[Long])(p: Long => Boolean): Int = {
+    var lo = 0
+    var hi = xs.length
+    while (lo < hi) {
+      val m = (lo + hi) >>> 1
+      if (p(xs(m))) hi = m else lo = m + 1
+    }
+    lo
   }
 
   // --------------------------------------------------------------- pieces
@@ -339,60 +413,55 @@ final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf)
     m.toMap
   }
 
-  private def connected(q: MultiEventQuery, i: Int, bound: collection.Set[String],
-                        boundVars: collection.Map[String, (String, String, String)]): Boolean = {
-    val e = q.events(i)
-    val sharesVar = Ast.entityOccurrences(e).exists { case (v, _, _) => boundVars.contains(v) }
-    val hasTemp = q.temps.exists(t =>
-      (t.left == e.alias && bound(t.right)) || (t.right == e.alias && bound(t.left)))
-    sharesVar || hasTemp
+  /** The staged join: patterns in `order`, except that a pattern connected
+    * to the bound ones (a shared variable or a temporal relation — a
+    * non-empty join) is always taken before one that is not. Both
+    * executions of [[execute]] follow it.
+    */
+  private def stages(q: MultiEventQuery, order: Seq[Int]): Seq[Stage] = {
+    val bound = scala.collection.mutable.Set[String]()
+    val boundVars = scala.collection.mutable.Map[String, (String, String, String)]()
+    val remaining = scala.collection.mutable.ArrayBuffer(order: _*)
+    val out = Seq.newBuilder[Stage]
+    while (remaining.nonEmpty) {
+      val next = remaining.map(i => Stage(i, joinTerms(q, q.events(i), bound, boundVars)))
+      val stage = next.find(_.terms.nonEmpty).getOrElse(next.head)
+      remaining -= stage.i
+      out += stage
+      val e = q.events(stage.i)
+      bound += e.alias
+      for ((v, k, r) <- Ast.entityOccurrences(e) if !boundVars.contains(v))
+        boundVars(v) = (e.alias, k, r)
+    }
+    out.result()
   }
 
-  /** Join condition between pattern i and the already-bound state: entity
+  /** The terms joining pattern `e` to the already-bound events: entity
     * identity equalities (plus `agent_id` equality for host-local entities)
     * and any temporal relations whose other side is bound.
     */
-  private def joinCondition(q: MultiEventQuery, i: Int, bound: collection.Set[String],
-                            boundVars: collection.Map[String, (String, String, String)]): Option[Column] = {
-    val e = q.events(i)
-    var cond: Option[Column] = None
-    def and(c: Column): Unit = cond = Some(cond.fold(c)(_ && c))
-
-    for ((v, k, r) <- Ast.entityOccurrences(e); (bEvt, bKind, bRole) <- boundVars.get(v)) {
-      if (bEvt != e.alias) {
-        and(col(s"${bEvt}__${Attrs.joinKey(bKind, bRole)}") ===
-            col(s"${e.alias}__${Attrs.joinKey(k, r)}"))
-        if (Attrs.isHostLocal(k))
-          and(col(s"${bEvt}__agent_id") === col(s"${e.alias}__agent_id"))
-      }
+  private def joinTerms(q: MultiEventQuery, e: EventPat, bound: collection.Set[String],
+                        boundVars: collection.Map[String, (String, String, String)]): Seq[JoinTerm] = {
+    val keys = for {
+      (v, k, r) <- Ast.entityOccurrences(e)
+      (bEvt, bKind, bRole) <- boundVars.get(v).toSeq
+      term <- Eq(Ref(bEvt, Attrs.joinKey(bKind, bRole)), Ref(e.alias, Attrs.joinKey(k, r))) +:
+        (if (Attrs.isHostLocal(k)) Seq(Eq(Ref(bEvt, "agent_id"), Ref(e.alias, "agent_id"))) else Nil)
+    } yield term
+    val times = q.temps.collect {
+      case TempRel(l, rel, r) if (l == e.alias && bound(r)) || (r == e.alias && bound(l)) =>
+        if (rel == "before") Before(l, r) else Before(r, l)
     }
-    for (t <- q.temps) {
-      val pair: Option[(String, String)] =
-        if (t.left == e.alias && bound(t.right)) Some((t.left, t.right))
-        else if (t.right == e.alias && bound(t.left)) Some((t.left, t.right))
-        else None
-      for ((l, r) <- pair) {
-        val (early, late) = if (t.rel == "before") (l, r) else (r, l)
-        and(col(s"${early}__ts") < col(s"${late}__ts"))
-      }
-    }
-    cond
+    (keys ++ times).distinct
   }
 
   /** Dynamic ts bounds for the pattern about to be joined: if `l before new`
     * for a bound `l`, matching rows need `ts > min(l.ts over candidates)`;
     * symmetrically for upper bounds. None ⇒ the state has no rows.
     */
-  private def timeBounds(q: MultiEventQuery, alias: String,
-                         bound: collection.Set[String], state: DataFrame): Option[TsBounds] = {
-    val lows = q.temps.collect {
-      case TempRel(l, "before", r) if r == alias && bound(l) => l
-      case TempRel(l, "after", r)  if l == alias && bound(r) => r
-    }.distinct
-    val highs = q.temps.collect {
-      case TempRel(l, "before", r) if l == alias && bound(r) => r
-      case TempRel(l, "after", r)  if r == alias && bound(l) => l
-    }.distinct
+  private def timeBounds(alias: String, terms: Seq[JoinTerm], state: DataFrame): Option[TsBounds] = {
+    val lows = terms.collect { case Before(l, `alias`) => l }
+    val highs = terms.collect { case Before(`alias`, h) => h }
     if (lows.isEmpty && highs.isEmpty) return Some(TsBounds(None, None))
     val aggs = lows.map(l => min(col(s"${l}__ts"))) ++ highs.map(h => max(col(s"${h}__ts")))
     val row = state.agg(aggs.head, aggs.tail: _*).collect()(0)
@@ -456,6 +525,26 @@ final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf)
 object MultiEventEngine {
 
   final case class SemanticError(msg: String) extends RuntimeException(msg)
+
+  /** A column `alias__column` of the joined, prefixed state. */
+  private final case class Ref(alias: String, column: String)
+
+  /** One term of the join between a pattern and the events bound before it:
+    * `Eq` equates two columns (nulls never match), `Before` orders two
+    * events' timestamps. The Spark plan renders the terms as one [[Column]];
+    * the driver-side join evaluates them on collected rows.
+    */
+  private sealed trait JoinTerm {
+    def column: Column = this match {
+      case Eq(b, n)            => col(s"${b.alias}__${b.column}") === col(s"${n.alias}__${n.column}")
+      case Before(early, late) => col(s"${early}__ts") < col(s"${late}__ts")
+    }
+  }
+  private final case class Eq(bound: Ref, next: Ref) extends JoinTerm
+  private final case class Before(early: String, late: String) extends JoinTerm
+
+  /** One step of the staged join: pattern `i` joined to the earlier ones on `terms`. */
+  private final case class Stage(i: Int, terms: Seq[JoinTerm])
 
   /** Default output-column names for unaliased return items — the engine and
     * [[SqlSynthesizer]] must agree exactly so results are diffable.

@@ -1,6 +1,7 @@
 package repro
 
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.catalyst.plans.logical.LocalRelation
 
 /** Shared assertion helpers for comparing DataFrames across execution paths
   * (optimized engine vs naive SQL baseline) through [[Oracle.canon]]:
@@ -32,4 +33,10 @@ object TestUtil {
       expect.forall { case (k, v) => Option(r.get(idx(k))).map(_.toString).contains(v) }
     }
   }
+
+  /** Is `df` computed from rows already in the driver (local relations
+    * only), as the engine returns a query it joined in the driver?
+    */
+  def isDriverLocal(df: DataFrame): Boolean =
+    df.queryExecution.analyzed.collectLeaves().forall(_.isInstanceOf[LocalRelation])
 }

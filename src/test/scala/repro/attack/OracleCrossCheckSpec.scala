@@ -1,15 +1,20 @@
 package repro.attack
 
+import java.nio.file.Files
+
 import org.apache.spark.sql.DataFrame
 
 import repro.{Oracle, SparkSpec}
 import repro.core._
+import repro.events.EventStore
 
 /** Independent correctness oracle: the optimized engine's results are
   * diffed against DuckDB executing the synthesized (DuckDb-dialect)
   * equivalent SQL over the same rows — a wrong join condition, broken
   * temporal scheduling, or bad window math fails here even if both Spark
-  * paths agreed with each other.
+  * paths agreed with each other. The multievent queries run both in memory
+  * and over the partitioned store, whose small pinned footprints are joined
+  * in the driver.
   *
   * Kept at a tiny scale factor: the oracle ships every row over JDBC.
   */
@@ -22,16 +27,23 @@ class OracleCrossCheckSpec extends SparkSpec {
   }
   private lazy val aiql = new Aiql(spark, InMemory(events))
 
-  // q18 is excluded: DuckDB returns SUM(BIGINT) as HUGEINT/decimal, which
-  // canonicalizes differently from Spark's long — covered by baseline parity.
-  private val oracleQueries = Seq("q01", "q02", "q04", "q06", "q08", "q10", "q11", "q15", "q19")
+  /** The events written to the store, and read back deduplicated. */
+  private lazy val (storeAiql, stored) = {
+    val dir = Files.createTempDirectory("aiql-oracle-store").toString
+    EventStore.write(events, dir)
+    (new Aiql(spark, StorePath(dir)), EventStore.read(spark, dir).cache())
+  }
 
-  for (name <- oracleQueries) {
-    test(s"$name: engine output equals DuckDB on the equivalent SQL") {
-      val q = InvestigationQueries.byName(name)
-      val parsed = Parser.parse(q.aiql)
-      val sql = SqlSynthesizer.forQuery(parsed, SqlSynthesizer.DuckDb).sql
-      Oracle.assertEquivalent(aiql.query(q.aiql), sql, "events" -> events)
+  private def duckSql(text: String): String =
+    SqlSynthesizer.forQuery(Parser.parse(text), SqlSynthesizer.DuckDb).sql
+
+  for (q <- InvestigationQueries.multievent) {
+    test(s"${q.name}: engine output equals DuckDB on the equivalent SQL") {
+      Oracle.assertEquivalent(aiql.query(q.aiql), duckSql(q.aiql), "events" -> events)
+    }
+
+    test(s"${q.name} (store-backed): engine output equals DuckDB on the equivalent SQL") {
+      Oracle.assertEquivalent(storeAiql.query(q.aiql), duckSql(q.aiql), "events" -> stored)
     }
   }
 

@@ -2,6 +2,9 @@ package repro.attack
 
 import java.nio.file.Files
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.Row
+
 import repro.{SparkSpec, TestUtil}
 import repro.baseline.NaiveSqlBaseline
 import repro.core._
@@ -9,6 +12,7 @@ import repro.events.EventStore
 
 /** The full storage path: events written to the partitioned store, queried
   * through [[StorePath]] with partition pruning — results must match the
+  * naive SQL baseline on both the driver-side and the Spark joins, and the
   * in-memory execution, and pruning must actually reduce scanned files.
   */
 class StoreIntegrationSpec extends SparkSpec {
@@ -28,6 +32,92 @@ class StoreIntegrationSpec extends SparkSpec {
     try f(aiql) finally aiql.close()
   }
   private lazy val memAiql = new Aiql(spark, InMemory(events))
+  private lazy val baseline = new NaiveSqlBaseline(spark, events)
+
+  /** Spark jobs that `f` starts. They carry a job group of their own; a
+    * marker job in another group, run after `f`, tells when the listener
+    * bus (which delivers in order) has reported every one of them.
+    */
+  private def jobsOf(f: => Unit): Int = {
+    val sc = spark.sparkContext
+    val started = new java.util.concurrent.atomic.AtomicInteger
+    val marked = new java.util.concurrent.CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).map(_.getProperty("spark.jobGroup.id")) match {
+          case Some("counted") => started.incrementAndGet()
+          case Some("marker")  => marked.countDown()
+          case _               =>
+        }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup("counted", "jobs under test")
+      try f finally sc.clearJobGroup()
+      sc.setJobGroup("marker", "end of the counted jobs")
+      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+      assert(marked.await(60, java.util.concurrent.TimeUnit.SECONDS), "marker job never reported")
+      started.get
+    } finally sc.removeSparkListener(listener)
+  }
+
+  // A host-scoped footprint is small: the default conf joins its multi-
+  // pattern queries in the driver, and without broadcasts it runs the
+  // staged Spark plan.
+  private val joinPaths = Seq("driver" -> AiqlConf(), "spark" -> AiqlConf(broadcastThreshold = -1))
+
+  for (q <- InvestigationQueries.all; (path, conf) <- joinPaths) {
+    test(s"${q.name} store-backed ($path joins) equals the naive SQL baseline") {
+      withStore(conf)(a => TestUtil.assertSameRows(a.query(q.aiql), baseline.execute(q.aiql), q.name))
+    }
+  }
+
+  test("q04 on pinned partitions runs one Spark job, query and collect together") {
+    val q = InvestigationQueries.byName("q04").aiql
+    withStore() { aiql =>
+      aiql.query(q).collect() // pins and counts (agent 4, 08/01)
+      assert(jobsOf(aiql.query(q).collect()) == 1)
+    }
+  }
+
+  private def assertBaselineRows(text: String, conf: AiqlConf = AiqlConf()): Array[Row] = {
+    val expected = baseline.execute(text)
+    withStore(conf)(a => TestUtil.assertSameRows(a.query(text), expected, text))
+    expected.collect()
+  }
+
+  test("an agent-bound two-pattern count join equals the baseline") {
+    val rows = assertBaselineRows(
+      """(from "08/01/2023 00:00:00" to "08/04/2023 00:00:00")
+        |agentid = 4
+        |proc p1 read file f1 as evt1
+        |proc p1["%sqlservr.exe"] write file f2 as evt2
+        |with evt1 before evt2
+        |return count(evt1) as n""".stripMargin)
+    assert(rows.head.getLong(0) > 0)
+  }
+
+  test("a query with an empty pattern gives the baseline's empty rows") {
+    val q = InvestigationQueries.byName("q04").aiql.replace("%sbblv.exe", "%no-such.exe")
+    assert(assertBaselineRows(q).isEmpty)
+  }
+
+  test("a cross product larger than the driver bound falls back to Spark joins") {
+    val text =
+      """(at "08/01/2023")
+        |agentid = 4
+        |proc p1["%sqlservr.exe"] read file f1 as evt1
+        |proc p2 write ip i as evt2
+        |return p1, f1, p2, i, evt2.ts""".stripMargin
+    val footprint = EventStore.readPruned(spark, storeDir, Some(Seq(4)), Some(Seq("2023-08-01"))).count()
+    // the footprint fits the bound, so the driver join starts; the product
+    // does not, so the Spark plan over the store returns it
+    val conf = AiqlConf(broadcastThreshold = footprint)
+    val rows = assertBaselineRows(text, conf)
+    assert(rows.length > footprint, s"${rows.length} rows over a footprint of $footprint")
+    withStore(conf)(a => assert(!TestUtil.isDriverLocal(a.query(text))))
+    withStore()(a => assert(TestUtil.isDriverLocal(a.query(text))))
+  }
 
   for (name <- Seq("q01", "q04", "q08", "q10", "q19", "q20")) {
     test(s"$name store-backed execution equals in-memory execution") {
@@ -65,7 +155,7 @@ class StoreIntegrationSpec extends SparkSpec {
     val q = InvestigationQueries.byName("q04").aiql.replace("agentid = 4", "agentid = 99")
     withStore() { aiql =>
       val got = aiql.query(q)
-      TestUtil.assertSameRows(got, new NaiveSqlBaseline(spark, events).execute(q), "agent 99")
+      TestUtil.assertSameRows(got, baseline.execute(q), "agent 99")
       assert(got.isEmpty)
       assert(aiql.loader.pinned.isEmpty)
     }

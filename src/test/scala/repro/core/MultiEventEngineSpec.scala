@@ -2,6 +2,7 @@ package repro.core
 
 import repro.{SparkSpec, TestUtil}
 import repro.baseline.NaiveSqlBaseline
+import repro.events.EventStore
 import Ast._
 import MultiEventEngine.SemanticError
 
@@ -206,6 +207,10 @@ class MultiEventEngineSpec extends SparkSpec with EngineFixture {
     "declared-order" -> AiqlConf(selectivityOrdering = false),
     "heuristic-selectivity" -> AiqlConf(exactSelectivity = false),
     "no-pushdown" -> AiqlConf(timeBoundPushdown = false),
+    // a broadcastable state never asks for ts bounds, so reaching
+    // `timeBounds` on fixture-sized data also takes turning broadcasts off
+    "pushdown-always" -> AiqlConf(pushdownThreshold = 0, broadcastThreshold = -1),
+    "no-broadcast" -> AiqlConf(broadcastThreshold = -1),
     "all-off" -> AiqlConf(selectivityOrdering = false, exactSelectivity = false,
                           timeBoundPushdown = false),
   )
@@ -242,6 +247,56 @@ class MultiEventEngineSpec extends SparkSpec with EngineFixture {
     test(s"engine matches naive SQL baseline on fixture query $k") {
       val baseline = new NaiveSqlBaseline(spark, fixtureDf)
       TestUtil.assertSameRows(run(q), baseline.execute(q), s"baseline q$k")
+    }
+  }
+
+  // ------------------------------------------------- driver-side joins
+
+  /** The fixture in the partitioned store: its host-scoped footprints are
+    * small and pinned, so multi-pattern queries over them are joined in the
+    * driver.
+    */
+  private lazy val fixtureStore: String = {
+    val dir = java.nio.file.Files.createTempDirectory("aiql-fixture-store").toString
+    EventStore.write(fixtureDf, dir)
+    dir
+  }
+
+  // The agent-2 copy of the chain writes before it starts, so each order of
+  // the first two queries applies the temporal relation as a lower bound in
+  // one and as an upper bound in the other; host locality must keep the
+  // agent-1 start from joining agent 2's write, while ip joins cross hosts.
+  private val driverQueries = Seq(
+    s"""$at
+       |agentid in (1, 2)
+       |proc p1["%cmd.exe"] start proc p2 as evt1
+       |proc p2 write file f["%backup.dmp"] as evt2
+       |with evt1 before evt2
+       |return evt1.agentid, p2, f, evt1.ts, evt2.ts""".stripMargin,
+    s"""$at
+       |agentid in (1, 2)
+       |proc p2 write file f["%backup.dmp"] as evt2
+       |proc p1["%cmd.exe"] start proc p2 as evt1
+       |with evt2 after evt1
+       |return evt1.agentid, p2, f, evt1.ts, evt2.ts""".stripMargin,
+    s"""$at
+       |agentid in (1, 2)
+       |proc p1["%sbblv.exe"] write ip i as evt1
+       |proc p2["%bash%"] connect ip i as evt2
+       |return p1, p2, i, evt1.agentid, evt2.agentid""".stripMargin,
+    crossCheckQueries(0).replace(at, s"$at\nagentid = 1"),
+    crossCheckQueries(1),
+  )
+
+  for ((name, conf) <- Seq("full" -> AiqlConf(), "declared-order" -> AiqlConf(selectivityOrdering = false));
+       (q, k) <- driverQueries.zipWithIndex) {
+    test(s"driver-side joins match naive SQL baseline: $name / query $k") {
+      val aiql = new Aiql(spark, StorePath(fixtureStore), conf)
+      try {
+        val got = aiql.query(q)
+        assert(TestUtil.isDriverLocal(got), "expected a frame joined in the driver")
+        TestUtil.assertSameRows(got, new NaiveSqlBaseline(spark, fixtureDf).execute(q), s"$name q$k")
+      } finally aiql.close()
     }
   }
 }
