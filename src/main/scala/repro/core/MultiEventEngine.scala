@@ -38,8 +38,10 @@ final case class AiqlConf(
       * Pattern frames whose measured count is at or below this threshold are
       * broadcast into the staged join (set < 0 to disable; the naive SQL
       * comparator has no stats and keeps default shuffle joins). A
-      * multi-pattern query over a pinned footprint of at most this many rows
-      * is joined in the driver, as long as its joined rows stay within it.
+      * multi-pattern query over a store footprint of at most this many rows
+      * (agent-bound, day-wide or the whole store, sized from the Parquet
+      * footers) is joined in the driver, as long as its joined rows stay
+      * within it.
       */
     broadcastThreshold: Long = 200000,
 )
@@ -52,8 +54,8 @@ final case class StorePath(path: String) extends EventSource
 final case class InMemory(df: DataFrame) extends EventSource
 
 /** Loads the base events for a query's global constraints, with partition
-  * pruning and a hot-partition cache: the paper's store keeps the
-  * partitions under investigation in memory (in-memory indexes /
+  * pruning, footprint sizes and a hot-partition cache: the paper's store
+  * keeps the partitions under investigation in memory (in-memory indexes /
   * hypertable); here each `(agent_id, day)` store partition an agent-bound
   * query touches is pinned on first use, and the query's footprint is the
   * union of its partitions' pins. Overlapping footprints (a host-scoped
@@ -78,14 +80,14 @@ private[repro] final class BaseLoader(
   def baseEvents(globals: Seq[Ast.Global]): DataFrame =
     baseEventsWithSize(globals)._1
 
-  /** Base events for the globals plus, when known, the footprint's row
-    * count. The residual global predicate is always applied on top of the
-    * (possibly partition-pruned) scan. Only agent-bound footprints are
-    * pinned and counted — they are small, and their size is the engine's
-    * cheapest statistic (one count per partition, amortized over every
-    * query investigating that host); a day-wide footprint is left to the
-    * vectorized Parquet scan, which outruns Spark's in-memory cache format
-    * on wide rows.
+  /** Base events for the globals plus, for a store, the footprint's row
+    * count from the Parquet footers (no Spark job). The residual global
+    * predicate is always applied on top of the (possibly partition-pruned)
+    * scan, so under a `from … to …` window the count is an upper bound.
+    * Only agent-bound footprints are pinned — they are small and reused by
+    * every query investigating that host; a day-wide or whole-store
+    * footprint is left to the vectorized Parquet scan, which outruns Spark's
+    * in-memory cache format on wide rows.
     */
   def baseEventsWithSize(globals: Seq[Ast.Global]): (DataFrame, Option[Long]) = {
     val (df, rows) = source match {
@@ -96,31 +98,25 @@ private[repro] final class BaseLoader(
           if (conf.partitionPruning)
             Times.window(globals).map { case (s, t) => Times.daysOf(s, t) }
           else None
-        agents match {
-          case None => (EventStore.readPruned(spark, p, agents, days), None)
-          case Some(as) =>
-            val parts = pin(p, EventStore.partitions(p, as, days))
-            if (parts.isEmpty) (EventStore.readPruned(spark, p, agents, days), Some(0L))
-            else (parts.map(_._1).reduce(_ union _), Some(parts.map(_._2).sum))
+        val parts = agents.map(as => pin(p, EventStore.partitions(p, as, days)))
+        parts match {
+          case Some(ps) if ps.nonEmpty => (ps.map(_._1).reduce(_ union _), Some(ps.map(_._2).sum))
+          case _ =>
+            (EventStore.readPruned(spark, p, agents, days),
+             Some(EventStore.prunedRows(spark, p, agents, days)))
         }
     }
     (df.filter(PatternCompiler.globalPred(globals)), rows)
   }
 
-  /** The pinned frames and row counts of `parts`. Partitions not pinned yet
-    * are cached and counted together — one aggregation over their union,
-    * each tagged with its index — so a footprint costs at most one count
-    * however many of its partitions are new.
+  /** The pinned frames and row counts of `parts`. A partition not pinned yet
+    * is cached lazily — the first query that reads it materializes it in
+    * its own job — and sized from its Parquet footers.
     */
   private def pin(path: String, parts: Seq[(Int, String)]): Seq[(DataFrame, Long)] = synchronized {
-    val fresh = parts.filterNot(pins.contains)
-    if (fresh.nonEmpty) {
-      val frames = fresh.map(EventStore.readPartition(spark, path, _).cache())
-      val tagged = frames.zipWithIndex.map { case (f, i) => f.select(lit(i).as("pin")) }
-      val counts = fresh.indices.map(i => count(when(col("pin") === i, 1)))
-      val row = tagged.reduce(_ union _).agg(counts.head, counts.tail: _*).collect()(0)
-      for (i <- fresh.indices) pins(fresh(i)) = (frames(i), row.getLong(i))
-    }
+    for (part <- parts if !pins.contains(part))
+      pins(part) = (EventStore.readPartition(spark, path, part).cache(),
+                    EventStore.prunedRows(spark, path, Some(Seq(part._1)), Some(Seq(part._2))))
     parts.map(pins)
   }
 }
@@ -197,11 +193,11 @@ final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf)
     val preds = q.events.map(PatternCompiler.compile)
     val cols = usedColumns(q)
 
-    // Cost-based fast path: a footprint the store already measured as small
-    // (one pinned host-day or similar) bounds every pattern, so a
-    // multi-pattern query over it is joined in the driver from one Spark
-    // action. A driver join that outgrows its bound runs as staged Spark
-    // joins, as for a footprint of unknown size.
+    // Cost-based fast path: a footprint whose Parquet footers say it is
+    // small (a host-day, or every host's events of a day at small scale)
+    // bounds every pattern, so a multi-pattern query over it is joined in
+    // the driver from one Spark action. A driver join that outgrows its
+    // bound runs as staged Spark joins, as for a footprint of unknown size.
     val smallFoot = conf.exactSelectivity && conf.broadcastThreshold >= 0 &&
       footRows.exists(_ <= conf.broadcastThreshold)
     val joined =

@@ -1,5 +1,12 @@
 package repro.events
 
+import java.nio.file.{Files, Paths}
+
+import scala.jdk.CollectionConverters._
+
+import org.apache.hadoop.fs.Path
+import org.apache.parquet.hadoop.ParquetFileReader
+import org.apache.parquet.hadoop.util.HadoopInputFile
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 
@@ -58,26 +65,58 @@ object EventStore {
   }
 
   /** Read the full store (via the coarse per-day layout — fewest files). */
-  def read(spark: SparkSession, path: String): DataFrame =
-    spark.read.schema(EventSchema.schema).parquet(byDay(path))
-      .select(EventSchema.columns.map(col): _*)
+  def read(spark: SparkSession, path: String): DataFrame = readPruned(spark, path, None, None)
 
   /** Read with spatial/temporal partition pruning: only the directories for
     * the requested agents/days are listed and scanned — pruning happens at
     * file-listing time (the store-layout optimization), not merely as a
     * pushed filter. Agent-bound reads use the fine `by_agent_day` layout;
-    * day-only reads use the coalesced `by_day` layout.
+    * day-only reads and the whole store use the coalesced `by_day` layout.
     */
   def readPruned(spark: SparkSession, path: String,
-                 agents: Option[Seq[Int]], days: Option[Seq[String]]): DataFrame =
+                 agents: Option[Seq[Int]], days: Option[Seq[String]]): DataFrame = {
+    val (base, dirs) = prunedDirs(path, agents, days)
+    readDirs(spark, base, dirs)
+  }
+
+  /** The number of rows [[readPruned]] returns, summed from the row counts
+    * in the Parquet footers of the files it lists: no Spark job, and no
+    * data page is read.
+    */
+  def prunedRows(spark: SparkSession, path: String,
+                 agents: Option[Seq[Int]], days: Option[Seq[String]]): Long = {
+    val conf = spark.sparkContext.hadoopConfiguration
+    prunedDirs(path, agents, days)._2.iterator.flatMap { dir =>
+      val files = Files.walk(Paths.get(dir))
+      try files.iterator.asScala.filter(isDataFile).toList finally files.close()
+    }.map { f =>
+      val reader = ParquetFileReader.open(HadoopInputFile.fromPath(new Path(f.toUri), conf))
+      try reader.getRecordCount finally reader.close()
+    }.sum
+  }
+
+  /** The base path and the directories a pruned read lists: the `(agent,
+    * day)` partitions of agent-bound reads, the day directories of day-only
+    * reads, and all of `by_day` for the whole store.
+    */
+  private def prunedDirs(path: String, agents: Option[Seq[Int]],
+                         days: Option[Seq[String]]): (String, Seq[String]) =
     (agents, days) match {
-      case (None, None) => read(spark, path)
-      case (Some(as), _) =>
-        readDirs(spark, byAgentDay(path), partitions(path, as, days).map(partitionDir(path)))
+      case (None, None) => (byDay(path), Seq(byDay(path)))
+      case (Some(as), _) => (byAgentDay(path), partitions(path, as, days).map(partitionDir(path)))
       case (None, Some(ds)) =>
         val dayDirs = subdirs(byDay(path), "day=").filter(d => ds.contains(d.stripPrefix("day=")))
-        readDirs(spark, byDay(path), dayDirs.map(d => s"${byDay(path)}/$d"))
+        (byDay(path), dayDirs.map(d => s"${byDay(path)}/$d"))
     }
+
+  /** A Parquet data file, as Spark's file listing sees one (it skips names
+    * starting with `_` or `.`).
+    */
+  private def isDataFile(p: java.nio.file.Path): Boolean = {
+    val name = p.getFileName.toString
+    Files.isRegularFile(p) && name.endsWith(".parquet") &&
+      !name.startsWith("_") && !name.startsWith(".")
+  }
 
   /** The `(agent_id, day)` partitions the store holds for `agents`, on
     * `days` when given and on every stored day otherwise.
@@ -99,11 +138,10 @@ object EventStore {
 
   /** Names of the subdirectories of `path` that start with `prefix`. */
   private def subdirs(path: String, prefix: String): Seq[String] = {
-    import scala.jdk.CollectionConverters._
-    val p = java.nio.file.Paths.get(path)
-    if (!java.nio.file.Files.isDirectory(p)) Seq.empty
-    else java.nio.file.Files.list(p).iterator.asScala
-      .filter(java.nio.file.Files.isDirectory(_))
+    val p = Paths.get(path)
+    if (!Files.isDirectory(p)) Seq.empty
+    else Files.list(p).iterator.asScala
+      .filter(Files.isDirectory(_))
       .map(_.getFileName.toString)
       .filter(_.startsWith(prefix))
       .toSeq

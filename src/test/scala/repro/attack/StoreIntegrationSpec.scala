@@ -80,6 +80,18 @@ class StoreIntegrationSpec extends SparkSpec {
     }
   }
 
+  test("first touches and day-wide joins run one Spark job each, query and collect together") {
+    def run(aiql: Aiql, name: String): Unit = aiql.query(InvestigationQueries.byName(name).aiql).collect()
+    withStore() { aiql =>
+      // a pin is sized from its footers and materialized by the query's own job
+      val jobs = Seq(
+        "q04 on a fresh store" -> jobsOf(run(aiql, "q04")),
+        "q19 on three new partitions" -> jobsOf(run(aiql, "q19")),
+        "warm q08" -> { run(aiql, "q08"); jobsOf(run(aiql, "q08")) })
+      assert(jobs.forall(_._2 == 1), jobs.mkString(", "))
+    }
+  }
+
   private def assertBaselineRows(text: String, conf: AiqlConf = AiqlConf()): Array[Row] = {
     val expected = baseline.execute(text)
     withStore(conf)(a => TestUtil.assertSameRows(a.query(text), expected, text))
@@ -117,6 +129,54 @@ class StoreIntegrationSpec extends SparkSpec {
     assert(rows.length > footprint, s"${rows.length} rows over a footprint of $footprint")
     withStore(conf)(a => assert(!TestUtil.isDriverLocal(a.query(text))))
     withStore()(a => assert(TestUtil.isDriverLocal(a.query(text))))
+  }
+
+  // Day-wide and all-host footprints are sized from the Parquet footers
+  // too, so their small multi-pattern queries are joined in the driver.
+  private val q08 = InvestigationQueries.byName("q08").aiql
+
+  for ((day, what) <- Seq("08/01/2023" -> "the attack day", "08/03/2023" -> "a day with an empty pattern")) {
+    test(s"day-wide q08 on $what is joined in the driver and equals the baseline") {
+      val text = q08.replace(AttackDataGen.Day1, day)
+      val expected = baseline.execute(text)
+      withStore() { a =>
+        val got = a.query(text)
+        assert(TestUtil.isDriverLocal(got))
+        TestUtil.assertSameRows(got, expected, text)
+      }
+      assert(expected.isEmpty == (day != AttackDataGen.Day1))
+    }
+  }
+
+  test("a day-wide footprint above the driver bound keeps the Spark joins") {
+    val dayRows = EventStore.readPruned(spark, storeDir, None, Some(Seq("2023-08-01"))).count()
+    assertBaselineRows(q08, AiqlConf(broadcastThreshold = dayRows - 1))
+    withStore(AiqlConf(broadcastThreshold = dayRows - 1))(a => assert(!TestUtil.isDriverLocal(a.query(q08))))
+    withStore(AiqlConf(broadcastThreshold = dayRows))(a => assert(TestUtil.isDriverLocal(a.query(q08))))
+  }
+
+  private val allDays = """(from "08/01/2023 00:00:00" to "08/04/2023 00:00:00")"""
+
+  test("an all-host count join over three days is joined in the driver and equals the baseline") {
+    val text =
+      s"""$allDays
+         |proc p1 read file f1 as evt1
+         |proc p1["%bash"] write file f2 as evt2
+         |with evt1 before evt2
+         |return count(evt1) as n""".stripMargin
+    assert(assertBaselineRows(text).head.getLong(0) > 0)
+    withStore()(a => assert(TestUtil.isDriverLocal(a.query(text))))
+  }
+
+  test("an all-host anomaly scan over three days equals the baseline") {
+    val rows = assertBaselineRows(
+      s"""$allDays
+         |window = 30 min, step = 10 min
+         |proc p["%bash"] write ip i as evt
+         |return p, avg(evt.amount) as amt
+         |group by p
+         |having amt > 10 * (amt[1] + amt[2])""".stripMargin)
+    assert(rows.nonEmpty)
   }
 
   for (name <- Seq("q01", "q04", "q08", "q10", "q19", "q20")) {

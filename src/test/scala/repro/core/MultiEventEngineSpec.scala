@@ -252,9 +252,8 @@ class MultiEventEngineSpec extends SparkSpec with EngineFixture {
 
   // ------------------------------------------------- driver-side joins
 
-  /** The fixture in the partitioned store: its host-scoped footprints are
-    * small and pinned, so multi-pattern queries over them are joined in the
-    * driver.
+  /** The fixture in the partitioned store: its footprints are small, so
+    * multi-pattern queries over them are joined in the driver.
     */
   private lazy val fixtureStore: String = {
     val dir = java.nio.file.Files.createTempDirectory("aiql-fixture-store").toString
@@ -266,7 +265,7 @@ class MultiEventEngineSpec extends SparkSpec with EngineFixture {
   // the first two queries applies the temporal relation as a lower bound in
   // one and as an upper bound in the other; host locality must keep the
   // agent-1 start from joining agent 2's write, while ip joins cross hosts.
-  private val driverQueries = Seq(
+  private val twoAgentQueries = Seq(
     s"""$at
        |agentid in (1, 2)
        |proc p1["%cmd.exe"] start proc p2 as evt1
@@ -284,9 +283,17 @@ class MultiEventEngineSpec extends SparkSpec with EngineFixture {
        |proc p1["%sbblv.exe"] write ip i as evt1
        |proc p2["%bash%"] connect ip i as evt2
        |return p1, p2, i, evt1.agentid, evt2.agentid""".stripMargin,
+  )
+  // Day-wide copies of them follow: their by_day footprint is sized from
+  // the Parquet footers, so they are joined in the driver too.
+  private val driverQueries = twoAgentQueries ++ Seq(
     crossCheckQueries(0).replace(at, s"$at\nagentid = 1"),
     crossCheckQueries(1),
-  )
+  ) ++ twoAgentQueries.map { q =>
+    val dayWide = q.replace("agentid in (1, 2)\n", "")
+    require(dayWide != q, q)
+    dayWide
+  }
 
   for ((name, conf) <- Seq("full" -> AiqlConf(), "declared-order" -> AiqlConf(selectivityOrdering = false));
        (q, k) <- driverQueries.zipWithIndex) {

@@ -1,9 +1,13 @@
 package repro.events
 
 import java.nio.file.{Files, Paths}
+import java.time.LocalDate
+import java.time.format.DateTimeFormatter
 
 import repro.SparkSpec
 import repro.attack.AttackDataGen
+import repro.core.{AiqlConf, BaseLoader, StorePath}
+import repro.core.Ast.{AgentIn, TimeAt}
 
 class EventStoreSpec extends SparkSpec {
 
@@ -67,6 +71,37 @@ class EventStoreSpec extends SparkSpec {
     assert(byAgent.inputFiles.forall(_.contains("agent_id=2")))
     val byDay = EventStore.readPruned(spark, dir, None, Some(Seq("2023-08-02")))
     assert(byDay.inputFiles.forall(_.contains("day=2023-08-02")))
+  }
+
+  private val footerReads = Seq(
+    ("agent and day", Some(Seq(4)), Some(Seq("2023-08-01"))),
+    ("agent only", Some(Seq(2)), None),
+    ("day only", None, Some(Seq("2023-08-02"))),
+    ("the whole store", None, None),
+    ("an agent with no partition", Some(Seq(99)), None),
+  )
+
+  for ((name, agents, days) <- footerReads) {
+    test(s"footer row count equals the pruned read's count: $name") {
+      val expected = EventStore.readPruned(spark, dir, agents, days).count()
+      assert(EventStore.prunedRows(spark, dir, agents, days) == expected)
+      if (agents.contains(Seq(99))) assert(expected == 0)
+    }
+  }
+
+  test("a pin records its partition's row count") {
+    val mdy = DateTimeFormatter.ofPattern("MM/dd/yyyy")
+    val loader = new BaseLoader(spark, StorePath(dir), AiqlConf())
+    try {
+      val parts = EventStore.partitions(dir, Seq(1, 2, 4), None)
+      assert(parts.size > 3)
+      for (part @ (a, d) <- parts) {
+        val globals = Seq(AgentIn(Seq(a)), TimeAt(LocalDate.parse(d).format(mdy)))
+        val expected = EventStore.readPartition(spark, dir, part).count()
+        assert(loader.baseEventsWithSize(globals)._2.contains(expected), s"partition $part")
+      }
+      assert(loader.pinned == parts.toSet)
+    } finally loader.close()
   }
 
   test("flat store has no partition directories") {
