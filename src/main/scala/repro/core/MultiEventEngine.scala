@@ -55,13 +55,17 @@ final case class InMemory(df: DataFrame) extends EventSource
 
 /** Loads the base events for a query's global constraints, with partition
   * pruning, footprint sizes and a hot-partition cache: the paper's store
-  * keeps the partitions under investigation in memory (in-memory indexes /
-  * hypertable); here each `(agent_id, day)` store partition an agent-bound
-  * query touches is pinned on first use, and the query's footprint is the
-  * union of its partitions' pins. Overlapping footprints (a host-scoped
-  * query, then a multi-agent one on the same day) therefore share one copy,
-  * reused by the statistics pass, every pattern scan, and later queries.
-  * One loader serves all engines of an [[Aiql]]. Release with [[close]].
+  * keeps the data of the hosts under investigation in memory (in-memory
+  * indexes / hypertable). Here a query bound to one host (`agentid = A`)
+  * pins each `(agent_id, day)` store partition it touches on first use; a
+  * multi-agent sweep pins nothing. Any agent-bound footprint is the union of
+  * its partitions already pinned and one Parquet read of the rest, so
+  * overlapping footprints (a host-scoped query, then a multi-agent one on
+  * the same day) share one copy, reused by the statistics pass, every
+  * pattern scan, and later queries. Pins are cached at `MEMORY_AND_DISK`;
+  * Spark's block manager bounds their memory and evicts their blocks least
+  * recently used. One loader serves all engines of an [[Aiql]]. Release
+  * with [[close]].
   */
 private[repro] final class BaseLoader(
     spark: SparkSession, source: EventSource, conf: AiqlConf) {
@@ -84,9 +88,12 @@ private[repro] final class BaseLoader(
     * count from the Parquet footers (no Spark job). The residual global
     * predicate is always applied on top of the (possibly partition-pruned)
     * scan, so under a `from … to …` window the count is an upper bound.
-    * Only agent-bound footprints are pinned — they are small and reused by
-    * every query investigating that host; a day-wide or whole-store
-    * footprint is left to the vectorized Parquet scan, which outruns Spark's
+    * A footprint bound to exactly one agent first pins its partitions — the
+    * host under investigation, reused by every query on it. Any agent-bound
+    * footprint then reads its pinned partitions from their pins and the
+    * others from one `by_agent_day` scan, sized by the pins' recorded counts
+    * plus the cold partitions' footers. A day-wide or whole-store footprint
+    * is left to the vectorized Parquet scan, which outruns Spark's
     * in-memory cache format on wide rows.
     */
   def baseEventsWithSize(globals: Seq[Ast.Global]): (DataFrame, Option[Long]) = {
@@ -98,10 +105,15 @@ private[repro] final class BaseLoader(
           if (conf.partitionPruning)
             Times.window(globals).map { case (s, t) => Times.daysOf(s, t) }
           else None
-        val parts = agents.map(as => pin(p, EventStore.partitions(p, as, days)))
-        parts match {
-          case Some(ps) if ps.nonEmpty => (ps.map(_._1).reduce(_ union _), Some(ps.map(_._2).sum))
-          case _ =>
+        agents match {
+          case Some(as) =>
+            val (hot, cold) = split(p, EventStore.partitions(p, as, days), admit = as.size == 1)
+            val reads =
+              if (cold.isEmpty && hot.nonEmpty) hot
+              else hot :+ (EventStore.readPartitions(spark, p, cold) ->
+                           EventStore.partitionRows(spark, p, cold))
+            (reads.map(_._1).reduce(_ union _), Some(reads.map(_._2).sum))
+          case None =>
             (EventStore.readPruned(spark, p, agents, days),
              Some(EventStore.prunedRows(spark, p, agents, days)))
         }
@@ -109,15 +121,19 @@ private[repro] final class BaseLoader(
     (df.filter(PatternCompiler.globalPred(globals)), rows)
   }
 
-  /** The pinned frames and row counts of `parts`. A partition not pinned yet
-    * is cached lazily — the first query that reads it materializes it in
-    * its own job — and sized from its Parquet footers.
+  /** The pinned frames and row counts of `parts`, and the partitions of
+    * `parts` not pinned. With `admit`, every partition not pinned yet is
+    * pinned first: cached lazily — the first query that reads it
+    * materializes it in its own job — and sized from its Parquet footers.
     */
-  private def pin(path: String, parts: Seq[(Int, String)]): Seq[(DataFrame, Long)] = synchronized {
-    for (part <- parts if !pins.contains(part))
-      pins(part) = (EventStore.readPartition(spark, path, part).cache(),
-                    EventStore.prunedRows(spark, path, Some(Seq(part._1)), Some(Seq(part._2))))
-    parts.map(pins)
+  private def split(path: String, parts: Seq[(Int, String)],
+                    admit: Boolean): (Seq[(DataFrame, Long)], Seq[(Int, String)]) = synchronized {
+    if (admit)
+      for (part <- parts if !pins.contains(part))
+        pins(part) = (EventStore.readPartitions(spark, path, Seq(part)).cache(),
+                      EventStore.partitionRows(spark, path, Seq(part)))
+    val (hot, cold) = parts.partition(pins.contains)
+    (hot.map(pins), cold)
   }
 }
 
@@ -125,7 +141,7 @@ private[repro] final class BaseLoader(
   * one data query per event pattern, most-selective-first staged joins and
   * dynamic time-bound tightening — instead of handing one big multi-join SQL
   * to the default scheduler. A multi-agent query runs as one plan over its
-  * pinned partitions; Spark parallelizes it across them.
+  * footprint's partitions; Spark parallelizes it across them.
   *
   * Result columns follow the `return` clause (shortcut aliases applied), so
   * results are directly comparable with the synthesized equivalent SQL.

@@ -84,9 +84,13 @@ object EventStore {
     * data page is read.
     */
   def prunedRows(spark: SparkSession, path: String,
-                 agents: Option[Seq[Int]], days: Option[Seq[String]]): Long = {
+                 agents: Option[Seq[Int]], days: Option[Seq[String]]): Long =
+    footerRows(spark, prunedDirs(path, agents, days)._2)
+
+  /** The row counts in the Parquet footers of the data files under `dirs`. */
+  private def footerRows(spark: SparkSession, dirs: Seq[String]): Long = {
     val conf = spark.sparkContext.hadoopConfiguration
-    prunedDirs(path, agents, days)._2.iterator.flatMap { dir =>
+    dirs.iterator.flatMap { dir =>
       val files = Files.walk(Paths.get(dir))
       try files.iterator.asScala.filter(isDataFile).toList finally files.close()
     }.map { f =>
@@ -129,9 +133,17 @@ object EventStore {
       if days.forall(_.contains(d))
     } yield (a, d)
 
-  /** Read one `(agent_id, day)` partition of the `by_agent_day` layout. */
-  def readPartition(spark: SparkSession, path: String, part: (Int, String)): DataFrame =
-    readDirs(spark, byAgentDay(path), Seq(partitionDir(path)(part)))
+  /** Read `(agent_id, day)` partitions of the `by_agent_day` layout, in one
+    * scan over their directories.
+    */
+  def readPartitions(spark: SparkSession, path: String, parts: Seq[(Int, String)]): DataFrame =
+    readDirs(spark, byAgentDay(path), parts.map(partitionDir(path)))
+
+  /** The number of rows [[readPartitions]] returns for `parts`, from their
+    * Parquet footers.
+    */
+  def partitionRows(spark: SparkSession, path: String, parts: Seq[(Int, String)]): Long =
+    footerRows(spark, parts.map(partitionDir(path)))
 
   private def partitionDir(path: String)(part: (Int, String)): String =
     s"${byAgentDay(path)}/agent_id=${part._1}/day=${part._2}"

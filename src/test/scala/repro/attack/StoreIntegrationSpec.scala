@@ -203,11 +203,57 @@ class StoreIntegrationSpec extends SparkSpec {
     val sc = spark.sparkContext
     val before = sc.getPersistentRDDs.keySet
     withStore(dir = copy.toString) { aiql =>
-      for (n <- Seq("q04", "q19", "q20"))
+      // q04, q06, q09 and q13 investigate agents 4, 1, 2 and 3; q19 reads
+      // their pins
+      for (n <- Seq("q04", "q06", "q09", "q13", "q19", "q20"))
         aiql.query(InvestigationQueries.byName(n).aiql).collect()
       assert(aiql.loader.pinned == (1 to 4).map(a => (a, "2023-08-01")).toSet)
       val persisted = sc.getPersistentRDDs.keySet -- before
       assert(persisted.size == 4, s"persisted frames: $persisted")
+    }
+  }
+
+  // Only a query bound to one agent (the host under investigation) pins its
+  // partitions; a multi-agent footprint reads the partitions not pinned
+  // from Parquet.
+  private val q19 = InvestigationQueries.byName("q19").aiql
+
+  test("a multi-agent sweep on a fresh store equals the baseline and pins nothing") {
+    val text = q19.replace("agentid in (1, 2, 3, 4)", "agentid in (1, 3)")
+    val expected = baseline.execute(text)
+    expected.collect()
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.keySet
+    withStore() { aiql =>
+      TestUtil.assertSameRows(aiql.query(text), expected, text)
+      assert(aiql.loader.pinned.isEmpty)
+      assert((sc.getPersistentRDDs.keySet -- before).isEmpty)
+    }
+  }
+
+  test("q19 after q04 reuses agent 4's pin and sizes the other partitions from their footers") {
+    withStore() { aiql =>
+      aiql.query(InvestigationQueries.byName("q04").aiql).collect()
+      TestUtil.assertSameRows(aiql.query(q19), baseline.execute(q19), "q19")
+      assert(aiql.loader.pinned == Set((4, "2023-08-01")))
+      val footprint = EventStore.readPruned(spark, storeDir, Some(1 to 4), Some(Seq("2023-08-01"))).count()
+      assert(aiql.loader.baseEventsWithSize(Parser.parse(q19).globals)._2.contains(footprint))
+    }
+  }
+
+  test("a multi-agent anomaly query equals the baseline and pins nothing") {
+    val text = InvestigationQueries.byName("q20").aiql.replace("agentid = 4", "agentid in (3, 4)")
+    withStore() { aiql =>
+      TestUtil.assertSameRows(aiql.query(text), baseline.execute(text), text)
+      assert(aiql.loader.pinned.isEmpty)
+    }
+  }
+
+  test("a whole session, q01 to q20 on one engine, equals the baseline and pins the four hosts' day") {
+    withStore() { aiql =>
+      for (q <- InvestigationQueries.all)
+        TestUtil.assertSameRows(aiql.query(q.aiql), baseline.execute(q.aiql), q.name)
+      assert(aiql.loader.pinned == (1 to 4).map(a => (a, "2023-08-01")).toSet)
     }
   }
 

@@ -97,10 +97,12 @@ class EventStoreSpec extends SparkSpec {
       assert(parts.size > 3)
       for (part @ (a, d) <- parts) {
         val globals = Seq(AgentIn(Seq(a)), TimeAt(LocalDate.parse(d).format(mdy)))
-        val expected = EventStore.readPartition(spark, dir, part).count()
+        val expected = EventStore.readPartitions(spark, dir, Seq(part)).count()
         assert(loader.baseEventsWithSize(globals)._2.contains(expected), s"partition $part")
       }
       assert(loader.pinned == parts.toSet)
+      val two = Seq(parts.head, parts.last)
+      assert(EventStore.partitionRows(spark, dir, two) == EventStore.readPartitions(spark, dir, two).count())
     } finally loader.close()
   }
 
