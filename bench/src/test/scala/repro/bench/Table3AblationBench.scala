@@ -8,11 +8,11 @@ import repro.core._
 import repro.events.EventStore
 
 /** T3 (supplemental) — ablation of the engine's domain-specific
-  * optimizations (§2.3): pruning-power scheduling, dynamic time-bound
-  * tightening, partition pruning, broadcast joins. The paper claims these
-  * as the source of its speedup; this bench isolates each. (Its spatial
-  * parallelism is not an arm: on Spark one plan over a multi-agent
-  * footprint already runs its partitions in parallel.)
+  * optimizations (§2.3): pruning-power scheduling, partition pruning,
+  * broadcast joins. The paper claims these as the source of its speedup;
+  * this bench isolates each. (Its spatial parallelism is not an arm: on
+  * Spark one plan over a multi-agent footprint already runs its partitions
+  * in parallel.)
   */
 class Table3AblationBench extends SparkSpec {
 
@@ -21,12 +21,9 @@ class Table3AblationBench extends SparkSpec {
   private val configs: Seq[(String, AiqlConf)] = Seq(
     "full" -> AiqlConf(),
     "-selectivity" -> AiqlConf(selectivityOrdering = false),
-    "-exactstats" -> AiqlConf(exactSelectivity = false),
-    "-pushdown" -> AiqlConf(timeBoundPushdown = false),
     "-pruning" -> AiqlConf(partitionPruning = false),
     "-broadcast" -> AiqlConf(broadcastThreshold = -1),
-    "none" -> AiqlConf(selectivityOrdering = false, exactSelectivity = false,
-                       timeBoundPushdown = false, partitionPruning = false,
+    "none" -> AiqlConf(selectivityOrdering = false, partitionPruning = false,
                        broadcastThreshold = -1),
   )
 

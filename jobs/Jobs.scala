@@ -3,10 +3,8 @@ package repro.jobs
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
 import repro.Oracle
-import repro.attack.{AttackDataGen, InvestigationQueries}
-import repro.baseline.NaiveSqlBaseline
+import repro.attack.InvestigationQueries
 import repro.core._
-import repro.events.EventStore
 
 /** Shared helpers for the spark-submit entrypoints. */
 object JobEnv {
@@ -34,39 +32,6 @@ object JobEnv {
   def timedRows(df: => DataFrame): (Seq[Seq[String]], Long) = {
     val ((cols, rows), ms) = timed { val d = df; (d.columns.toSeq, d.collect().toSeq) }
     (Oracle.canon(rows, cols), ms)
-  }
-}
-
-/** T1: per-query execution time, AIQL engine vs equivalent SQL.
-  * `spark-submit --class repro.jobs.Table1Job ... [sf]`
-  */
-object Table1Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobEnv.session("aiql-table1")
-    val sf = JobEnv.sf(args)
-    val dir = java.nio.file.Files.createTempDirectory("aiql-bench").toString
-    val events = AttackDataGen.events(spark, sf)
-    EventStore.write(events, s"$dir/store")
-    EventStore.writeFlat(events, s"$dir/flat")
-    val flat = EventStore.readFlat(spark, s"$dir/flat")
-    val aiql = new Aiql(spark, StorePath(s"$dir/store"))
-    val baseline = new NaiveSqlBaseline(spark, flat)
-
-    // warm-up both paths once
-    aiql.query(InvestigationQueries.byName("q01").aiql).collect()
-    baseline.execute(InvestigationQueries.byName("q01").aiql).collect()
-
-    println(f"${"query"}%-6s${"rows"}%8s${"aiql_ms"}%10s${"sql_ms"}%10s${"speedup"}%9s")
-    var aiqlTotal = 0L; var sqlTotal = 0L
-    for (q <- InvestigationQueries.all) {
-      val (r1, tA) = JobEnv.timedRows(aiql.query(q.aiql))
-      val (r2, tS) = JobEnv.timedRows(baseline.execute(q.aiql))
-      require(r1 == r2, s"${q.name}: result mismatch")
-      aiqlTotal += tA; sqlTotal += tS
-      println(f"${q.name}%-6s${r1.length}%8d$tA%10d$tS%10d${tS.toDouble / tA}%9.1f")
-    }
-    println(f"${"total"}%-6s${""}%8s$aiqlTotal%10d$sqlTotal%10d${sqlTotal.toDouble / aiqlTotal}%9.1f")
-    spark.stop()
   }
 }
 

@@ -12,27 +12,16 @@ import repro.events.{EventSchema, EventStore}
 /** Engine configuration — each flag is one of the paper's domain-specific
   * optimizations, individually toggleable for the ablation bench (T3).
   *
-  * @param selectivityOrdering execute the most selective pattern first
-  *                            (§2.3 insight 1: prioritize pruning power)
-  * @param exactSelectivity    measure pruning power by counting each
-  *                            pattern's (cached) filtered scan; otherwise a
-  *                            static heuristic over the predicate shape
-  * @param timeBoundPushdown   tighten later scans with dynamic ts bounds
-  *                            derived from `before`/`after` chains
+  * @param selectivityOrdering execute the pattern with the fewest matches
+  *                            first (§2.3 insight 1: prioritize pruning
+  *                            power), measured by an exact count of each
+  *                            pattern; otherwise join in declared order
   * @param partitionPruning    prune `(agent_id, day)` store partitions from
   *                            the global constraints
   */
 final case class AiqlConf(
     selectivityOrdering: Boolean = true,
-    exactSelectivity: Boolean = true,
-    timeBoundPushdown: Boolean = true,
     partitionPruning: Boolean = true,
-    /** Dynamic ts-bound tightening costs one small aggregation job; it only
-      * pays off when the pattern it would prune is large. The engine applies
-      * it when the pattern's measured count exceeds this threshold — a
-      * stats-informed scheduling decision like the paper's.
-      */
-    pushdownThreshold: Long = 100000,
     /** The paper's engine materializes small per-pattern results and probes
       * them instead of shuffling; the Spark analog is a broadcast-hash join.
       * Pattern frames whose measured count is at or below this threshold are
@@ -138,10 +127,10 @@ private[repro] final class BaseLoader(
 }
 
 /** Executes multievent AIQL queries with the paper's optimized scheduling:
-  * one data query per event pattern, most-selective-first staged joins and
-  * dynamic time-bound tightening — instead of handing one big multi-join SQL
-  * to the default scheduler. A multi-agent query runs as one plan over its
-  * footprint's partitions; Spark parallelizes it across them.
+  * one data query per event pattern and most-selective-first staged joins —
+  * instead of handing one big multi-join SQL to the default scheduler. A
+  * multi-agent query runs as one plan over its footprint's partitions; Spark
+  * parallelizes it across them.
   *
   * Result columns follow the `return` clause (shortcut aliases applied), so
   * results are directly comparable with the synthesized equivalent SQL.
@@ -190,18 +179,6 @@ final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf)
 
   // ------------------------------------------------------------ execution
 
-  /** Scan-time ts bounds (exclusive low / high) for one pattern, or None
-    * when the bound state is already known empty.
-    */
-  private final case class TsBounds(lo: Option[Long], hi: Option[Long]) {
-    def pred(tsCol: Column): Column = {
-      var c = lit(true)
-      lo.foreach(v => c = c && tsCol > v)
-      hi.foreach(v => c = c && tsCol < v)
-      c
-    }
-  }
-
   /** Run a multievent query and return the projected matches. */
   def execute(q: MultiEventQuery): DataFrame = {
     validate(q)
@@ -214,7 +191,7 @@ final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf)
     // bounds every pattern, so a multi-pattern query over it is joined in
     // the driver from one Spark action. A driver join that outgrows its
     // bound runs as staged Spark joins, as for a footprint of unknown size.
-    val smallFoot = conf.exactSelectivity && conf.broadcastThreshold >= 0 &&
+    val smallFoot = conf.broadcastThreshold >= 0 &&
       footRows.exists(_ <= conf.broadcastThreshold)
     val joined =
       (if (smallFoot && q.events.size > 1) joinInDriver(q, base, preds, cols) else None)
@@ -223,8 +200,8 @@ final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf)
   }
 
   /** The staged Spark plan: per-pattern scans of the relevant set, ordered
-    * by pruning power, joined left-deep with stats-gated broadcasts and
-    * dynamic ts-bound tightening. Columns are prefixed with the event alias.
+    * by pruning power, joined left-deep with stats-gated broadcasts. Columns
+    * are prefixed with the event alias.
     */
   private def joinInSpark(q: MultiEventQuery, base: DataFrame, preds: Seq[Column],
                           cols: Seq[String]): DataFrame = {
@@ -239,20 +216,11 @@ final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf)
       else registerRelevant(
         base.filter(preds.reduce(_ || _)).select(cols.map(col): _*).cache())
 
-    // one data query per pattern, columns prefixed with the event alias
-    def prefixed(i: Int, extra: Column): DataFrame = {
-      val a = q.events(i).alias
-      relevant.filter(preds(i) && extra)
-        .select(cols.map(c => col(c).as(s"${a}__$c")): _*)
-    }
-
     // pruning-power statistics: ALL pattern counts from one scan (which
     // also materializes the relevant-set cache) — the engine's analog of
-    // consulting DB stats. Skipped when they cannot influence anything.
-    val wantStats = conf.exactSelectivity && n > 1 &&
-      (conf.selectivityOrdering || conf.timeBoundPushdown || conf.broadcastThreshold >= 0)
+    // consulting DB stats. A single pattern has nothing to order or join.
     val counts: Array[Long] =
-      if (!wantStats) Array.fill(n)(-1L)
+      if (n <= 1) Array.fill(n)(-1L)
       else {
         val aggs = preds.map(p => count(when(p, lit(1))))
         relevant.agg(aggs.head, aggs.tail: _*).collect()(0)
@@ -260,29 +228,24 @@ final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf)
       }
 
     val order: Seq[Int] =
-      if (!conf.selectivityOrdering) q.events.indices
-      else if (wantStats) q.events.indices.sortBy(i => (counts(i), i))
-      else Selectivity.heuristicOrder(q.events)
+      if (conf.selectivityOrdering) q.events.indices.sortBy(i => (counts(i), i))
+      else q.events.indices
+    val knownEmpty = counts.contains(0L)
 
-    def small(x: Long) = conf.broadcastThreshold >= 0 && x >= 0 && x <= conf.broadcastThreshold
+    // one data query per pattern, columns prefixed with the event alias
+    def prefixed(i: Int): DataFrame = {
+      val a = q.events(i).alias
+      relevant.filter(if (knownEmpty) lit(false) else preds(i))
+        .select(cols.map(c => col(c).as(s"${a}__$c")): _*)
+    }
+
+    def small(x: Long) = conf.broadcastThreshold >= 0 && x <= conf.broadcastThreshold
 
     var state: DataFrame = null
     var stateEst: Long = -1L // running size upper-bound estimate of `state`
-    var knownEmpty = counts.contains(0L)
 
     for (Stage(i, terms) <- stages(q, order)) {
-      // stats-gated dynamic tightening: worth an extra aggregation job only
-      // when the pattern to be scanned is large AND the intermediate state
-      // is not already small enough to broadcast (a broadcast probe makes
-      // the join cheap regardless of the streamed side's size)
-      val wantBounds = conf.timeBoundPushdown && state != null && !knownEmpty &&
-        !small(stateEst) && (counts(i) < 0 || counts(i) > conf.pushdownThreshold)
-      val bounds: TsBounds =
-        if (!wantBounds) TsBounds(None, None)
-        else timeBounds(q.events(i).alias, terms, state).getOrElse { knownEmpty = true; TsBounds(None, None) }
-
-      val df = prefixed(i, if (knownEmpty) lit(false) else bounds.pred(col("ts")))
-
+      val df = prefixed(i)
       if (state == null) { state = df; stateEst = counts(i) }
       else {
         // Stats-gated materialize-and-probe (the paper's engine keeps small
@@ -300,8 +263,7 @@ final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf)
         state =
           if (terms.isEmpty) l.crossJoin(r)
           else l.join(r, terms.map(_.column).reduce(_ && _), "inner")
-        if (counts(i) >= 0)
-          stateEst = if (stateEst < 0) counts(i) else math.min(stateEst, counts(i))
+        stateEst = math.min(stateEst, counts(i))
       }
     }
     state
@@ -465,22 +427,6 @@ final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf)
         if (rel == "before") Before(l, r) else Before(r, l)
     }
     (keys ++ times).distinct
-  }
-
-  /** Dynamic ts bounds for the pattern about to be joined: if `l before new`
-    * for a bound `l`, matching rows need `ts > min(l.ts over candidates)`;
-    * symmetrically for upper bounds. None ⇒ the state has no rows.
-    */
-  private def timeBounds(alias: String, terms: Seq[JoinTerm], state: DataFrame): Option[TsBounds] = {
-    val lows = terms.collect { case Before(l, `alias`) => l }
-    val highs = terms.collect { case Before(`alias`, h) => h }
-    if (lows.isEmpty && highs.isEmpty) return Some(TsBounds(None, None))
-    val aggs = lows.map(l => min(col(s"${l}__ts"))) ++ highs.map(h => max(col(s"${h}__ts")))
-    val row = state.agg(aggs.head, aggs.tail: _*).collect()(0)
-    if (row.anyNull) return None
-    val lo = if (lows.nonEmpty) Some(lows.indices.map(row.getLong).min) else None
-    val hi = if (highs.nonEmpty) Some(highs.indices.map(k => row.getLong(lows.size + k)).max) else None
-    Some(TsBounds(lo, hi))
   }
 
   // ----------------------------------------------------------- projection

@@ -159,6 +159,8 @@ object Parser {
             else if (cur.isIdent("before")) { i += 1; "before" }
             else if (cur.isIdent("after")) { i += 1; "after" }
             else fail("expected 'before', 'after' or '->'")
+          if (cur.kind == TIdent && cur.text == left)
+            fail(s"event '$left' cannot be ordered against itself")
           val right = ident()
           out += TempRel(left, rel, right)
           left = right

@@ -111,7 +111,7 @@ class StoreIntegrationSpec extends SparkSpec {
 
   test("a query with an empty pattern gives the baseline's empty rows") {
     val q = InvestigationQueries.byName("q04").aiql.replace("%sbblv.exe", "%no-such.exe")
-    assert(assertBaselineRows(q).isEmpty)
+    for ((path, conf) <- joinPaths) assert(assertBaselineRows(q, conf).isEmpty, path)
   }
 
   test("a cross product larger than the driver bound falls back to Spark joins") {

@@ -148,60 +148,6 @@ class TimesSpec extends AnyFunSuite {
   }
 }
 
-class SelectivitySpec extends AnyFunSuite {
-  import Ast._
-
-  private def pat(subjFilter: Option[Expr], objFilter: Option[Expr] = None) =
-    EventPat(EntityPat("proc", "p", subjFilter), "read",
-             EntityPat("file", "f", objFilter), "evt")
-
-  test("exact equality scores higher than LIKE") {
-    val eq = Selectivity.scoreExpr(Bin("=", AttrRef("p", ""), StrLit("cmd.exe")))
-    val like = Selectivity.scoreExpr(Bin("=", AttrRef("p", ""), StrLit("%cmd.exe")))
-    assert(eq > like)
-  }
-
-  test("prefix LIKE scores higher than substring LIKE") {
-    val prefix = Selectivity.scoreExpr(Bin("=", AttrRef("p", ""), StrLit("cmd%")))
-    val sub = Selectivity.scoreExpr(Bin("=", AttrRef("p", ""), StrLit("%cmd%")))
-    assert(prefix > sub)
-  }
-
-  test("longer LIKE residue scores higher") {
-    val long = Selectivity.scoreExpr(Bin("=", AttrRef("p", ""), StrLit("%powershell.exe")))
-    val short = Selectivity.scoreExpr(Bin("=", AttrRef("p", ""), StrLit("%sh")))
-    assert(long > short)
-  }
-
-  test("conjunction adds, disjunction takes the weaker side") {
-    val a = Bin("=", AttrRef("i", "dst_ip"), StrLit("1.2.3.4"))
-    val b = Bin("=", AttrRef("i", "dst_port"), NumLit("443"))
-    assert(Selectivity.scoreExpr(Bin("&&", a, b)) ==
-           Selectivity.scoreExpr(a) + Selectivity.scoreExpr(b))
-    assert(Selectivity.scoreExpr(Bin("||", a, b)) ==
-           math.min(Selectivity.scoreExpr(a), Selectivity.scoreExpr(b)))
-  }
-
-  test("unfiltered pattern scores lowest") {
-    val unfiltered = pat(None)
-    val filtered = pat(Some(Bin("=", AttrRef("p", ""), StrLit("%osql.exe"))))
-    assert(Selectivity.scorePattern(filtered) > Selectivity.scorePattern(unfiltered))
-  }
-
-  test("heuristic order puts most selective first") {
-    val ps = Seq(
-      pat(None),
-      pat(Some(Bin("=", AttrRef("p", ""), StrLit("cmd.exe")))),
-      pat(Some(Bin("=", AttrRef("p", ""), StrLit("%cmd%")))))
-    assert(Selectivity.heuristicOrder(ps) == Seq(1, 2, 0))
-  }
-
-  test("heuristic order is stable on ties") {
-    val ps = Seq(pat(None), pat(None), pat(None))
-    assert(Selectivity.heuristicOrder(ps) == Seq(0, 1, 2))
-  }
-}
-
 class DependencyCompilerSpec extends AnyFunSuite {
   import Ast._
 

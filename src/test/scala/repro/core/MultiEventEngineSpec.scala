@@ -205,14 +205,8 @@ class MultiEventEngineSpec extends SparkSpec with EngineFixture {
   private val configs = Seq(
     "full" -> AiqlConf(),
     "declared-order" -> AiqlConf(selectivityOrdering = false),
-    "heuristic-selectivity" -> AiqlConf(exactSelectivity = false),
-    "no-pushdown" -> AiqlConf(timeBoundPushdown = false),
-    // a broadcastable state never asks for ts bounds, so reaching
-    // `timeBounds` on fixture-sized data also takes turning broadcasts off
-    "pushdown-always" -> AiqlConf(pushdownThreshold = 0, broadcastThreshold = -1),
     "no-broadcast" -> AiqlConf(broadcastThreshold = -1),
-    "all-off" -> AiqlConf(selectivityOrdering = false, exactSelectivity = false,
-                          timeBoundPushdown = false),
+    "all-off" -> AiqlConf(selectivityOrdering = false, broadcastThreshold = -1),
   )
 
   private val crossCheckQueries = Seq(

@@ -117,6 +117,18 @@ class ParserSpec extends AnyFunSuite {
     assert(q.temps == Seq(TempRel("evt1", "after", "evt2")))
   }
 
+  test("error: an event ordered against itself, at the repeated alias") {
+    val events =
+      """proc p1 read file f as evt1
+        |proc p2 write file f as evt2
+        |""".stripMargin
+    for (rel <- Seq("with evt1 before evt1", "with evt1 after evt1", "with evt1 before evt2 before evt2")) {
+      val src = s"$events$rel\nreturn p1"
+      val e = intercept[ParseError](Parser.parse(src))
+      assert(e.pos == events.length + rel.lastIndexOf("evt"), rel)
+    }
+  }
+
   test("return items with aliases and attributes") {
     val q = parseMulti("""proc p read file f as evt
                          |return p as proc_name, f.name as path, evt.ts""".stripMargin)

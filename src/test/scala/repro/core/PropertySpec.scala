@@ -56,18 +56,6 @@ class PropertySpec extends AnyFunSuite {
     }, tests = 30)
   }
 
-  test("selectivity: conjunction never decreases pruning power") {
-    val leafGen: Gen[Expr] = for {
-      attr <- Gen.oneOf("", "pid", "exe_name")
-      l <- Gen.oneOf[Expr](StrLit("%x%"), StrLit("x"), NumLit("7"))
-      op <- Gen.oneOf("=", "!=", "<", ">")
-    } yield Bin(op, AttrRef("p", attr), l)
-    check(Prop.forAll(leafGen, leafGen) { (a, b) =>
-      Selectivity.scoreExpr(Bin("&&", a, b)) >= Selectivity.scoreExpr(a) &&
-        Selectivity.scoreExpr(Bin("&&", a, b)) >= Selectivity.scoreExpr(b)
-    })
-  }
-
   test("conciseness bounds") {
     check(Prop.forAll(Gen.asciiPrintableStr) { s =>
       Conciseness.chars(s) <= s.length && Conciseness.words(s) <= Conciseness.chars(s) + 1
