@@ -6,6 +6,7 @@ import repro.SparkSpec
 import repro.attack.{AttackDataGen, InvestigationQueries}
 import repro.core._
 import repro.events.EventStore
+import repro.jobs.JobEnv
 
 /** T3 (supplemental) — ablation of the engine's domain-specific
   * optimizations (§2.3): pruning-power scheduling, partition pruning,
@@ -29,15 +30,11 @@ class Table3AblationBench extends SparkSpec {
 
   private val queries = Seq("q04", "q08", "q16", "q19")
 
-  private def timed[A](f: => A): (A, Long) = {
-    val t0 = System.nanoTime(); val a = f; (a, (System.nanoTime() - t0) / 1000000)
-  }
-
   test("Table 3: per-optimization ablation on representative queries") {
     val dir = Files.createTempDirectory("aiql-t3").toString
     EventStore.write(AttackDataGen.events(spark, sf), s"$dir/store")
     val full = new Aiql(spark, StorePath(s"$dir/store"))
-    val expected = queries.map(n => n -> full.query(InvestigationQueries.byName(n).aiql).count()).toMap
+    val expected = queries.map(n => n -> JobEnv.timedRows(full.query(InvestigationQueries.byName(n).aiql))._1).toMap
 
     println(s"=== Table 3 (engine ablation, sf=$sf) ===")
     println(f"${"config"}%-14s${queries.map(q => f"$q%10s").mkString}${"total_ms"}%10s")
@@ -47,8 +44,8 @@ class Table3AblationBench extends SparkSpec {
       aiql.query(InvestigationQueries.byName(queries.head).aiql).collect()
       var total = 0L
       val cells = queries.map { qn =>
-        val (rows, ms) = timed(aiql.query(InvestigationQueries.byName(qn).aiql).collect())
-        assert(rows.length.toLong == expected(qn), s"$name/$qn changed results")
+        val (rows, ms) = JobEnv.timedRows(aiql.query(InvestigationQueries.byName(qn).aiql))
+        assert(rows == expected(qn), s"$name/$qn changed results")
         total += ms
         f"$ms%10d"
       }

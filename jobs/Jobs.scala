@@ -3,7 +3,6 @@ package repro.jobs
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
 import repro.Oracle
-import repro.attack.InvestigationQueries
 import repro.core._
 
 /** Shared helpers for the spark-submit entrypoints. */
@@ -32,25 +31,6 @@ object JobEnv {
   def timedRows(df: => DataFrame): (Seq[Seq[String]], Long) = {
     val ((cols, rows), ms) = timed { val d = df; (d.columns.toSeq, d.collect().toSeq) }
     (Oracle.canon(rows, cols), ms)
-  }
-}
-
-/** T2: query conciseness (constraints / words / chars), AIQL vs SQL. */
-object Table2Job {
-  def main(args: Array[String]): Unit = {
-    println(f"${"query"}%-6s${"aiql_c"}%8s${"sql_c"}%8s${"aiql_w"}%8s${"sql_w"}%8s${"aiql_ch"}%9s${"sql_ch"}%9s")
-    var a = Conciseness.Metrics(0, 0, 0); var s = Conciseness.Metrics(0, 0, 0)
-    for (q <- InvestigationQueries.all) {
-      val parsed = Parser.parse(q.aiql)
-      val am = Conciseness.ofAiql(q.aiql, parsed)
-      val sm = Conciseness.ofSql(SqlSynthesizer.forQuery(parsed, SqlSynthesizer.Spark))
-      a = Conciseness.Metrics(a.constraints + am.constraints, a.words + am.words, a.chars + am.chars)
-      s = Conciseness.Metrics(s.constraints + sm.constraints, s.words + sm.words, s.chars + sm.chars)
-      println(f"${q.name}%-6s${am.constraints}%8d${sm.constraints}%8d${am.words}%8d${sm.words}%8d${am.chars}%9d${sm.chars}%9d")
-    }
-    println(f"${"total"}%-6s${a.constraints}%8d${s.constraints}%8d${a.words}%8d${s.words}%8d${a.chars}%9d${s.chars}%9d")
-    println(f"ratios: constraints ${s.constraints.toDouble / a.constraints}%.1fx  " +
-      f"words ${s.words.toDouble / a.words}%.1fx  chars ${s.chars.toDouble / a.chars}%.1fx")
   }
 }
 

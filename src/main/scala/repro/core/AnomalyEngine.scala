@@ -22,7 +22,7 @@ import Ast._
   */
 final class AnomalyEngine private[repro] (loader: BaseLoader) {
 
-  import MultiEventEngine.{aggColumnOf, defaultAlias, keyName, SemanticError}
+  import Scope.{aggColumnOf, SemanticError}
 
   def execute(q: AnomalyQuery): DataFrame = {
     if (q.stepMs <= 0 || q.windowMs <= 0)
@@ -38,63 +38,28 @@ final class AnomalyEngine private[repro] (loader: BaseLoader) {
     val wlo = greatest(lit(0L), (floor((col("ts") - t0 - q.windowMs) / q.stepMs) + 1).cast("long"))
     val windowed = base.withColumn("win", explode(sequence(wlo, whi)))
 
-    // resolve expressions against the single pattern's raw columns
-    val roles = PatternCompiler.roles(q.event)
-    def resolveLeaf(e: Expr): Column = e match {
-      case VarRef(v) if v == q.event.alias =>
-        throw SemanticError(s"bare event alias '$v' is not returnable; use $v.<attr>")
-      case VarRef(v) =>
-        val (kind, role) = roles.getOrElse(v, throw SemanticError(s"unknown variable '$v'"))
-        col(Attrs.entityAttr(kind, role, ""))
-      case AttrRef(v, a) if v == q.event.alias => col(Attrs.eventAttr(a))
-      case AttrRef(v, a) =>
-        val (kind, role) = roles.getOrElse(v, throw SemanticError(s"unknown variable '$v'"))
-        col(Attrs.entityAttr(kind, role, a))
-      case other => throw SemanticError(s"unresolvable expression $other")
-    }
-
-    val keyCols = q.groupBy.map(g => ExprEval.toColumn(g, resolveLeaf).as(keyName(q.returns, g)))
-    val aggItems = q.returns.collect {
-      case ReturnItem(e, al) if ExprEval.hasAgg(e) =>
-        (al.getOrElse(defaultAlias(e)), e)
-    }
-    if (aggItems.isEmpty) throw SemanticError("anomaly query requires an aggregate in return")
-    for (r <- q.returns if !ExprEval.hasAgg(r.expr))
-      if (!q.groupBy.contains(r.expr))
-        throw SemanticError(s"return item ${r.expr} is neither aggregated nor grouped")
-
-    val aggCols = aggItems.map { case (name, e) => aggColumnOf(e, resolveLeaf).as(name) }
+    // bind expressions to the single pattern's raw columns
+    val scope = new Scope(Seq(q.event))
+    def leaf(e: Expr): Column = col(scope.column(e)._2)
+    val out = Scope.shape(q)
+    val keyCols = out.keys.map { case (n, g) => ExprEval.toColumn(g, leaf).as(n) }
+    val aggCols = out.aggs.map { case (n, e) => aggColumnOf(e, leaf).as(n) }
     val grouped = windowed.groupBy(col("win") +: keyCols: _*).agg(aggCols.head, aggCols.tail: _*)
 
     // historical references alias[k] -> left self-join at window win-k
     val hists = q.having.toSeq.flatMap(Ast.collectHists).distinct
-    val keyNames = q.groupBy.map(keyName(q.returns, _))
+    val keyNames = out.keys.map(_._1)
     var joined = grouped
     for ((alias, k) <- hists) {
-      if (!aggItems.exists(_._1 == alias))
-        throw SemanticError(s"history reference '$alias[$k]' does not match an aggregate alias")
       val prev = grouped.select(
         (col("win") + k).as("win") +: keyNames.map(col) :+ col(alias).as(s"${alias}__$k"): _*)
       joined = joined.join(prev, Seq("win") ++ keyNames, "left")
     }
 
-    val filtered = q.having match {
-      case None => joined
-      case Some(h) =>
-        val hc = ExprEval.toColumn(h, {
-          case VarRef(v) if aggItems.exists(_._1 == v) => col(v)
-          case VarRef(v) if keyNames.contains(v)       => col(v)
-          case HistRef(a, k)                           => col(s"${a}__$k")
-          case VarRef(v)                               => resolveLeaf(VarRef(v))
-          case other => throw SemanticError(s"unresolvable having leaf $other")
-        })
-        joined.filter(hc)
-    }
-
-    val outNames = "win" +: q.returns.map { r =>
-      if (ExprEval.hasAgg(r.expr)) r.alias.getOrElse(defaultAlias(r.expr))
-      else keyName(q.returns, q.groupBy.find(_ == r.expr).get)
-    }
-    filtered.select(outNames.map(col): _*)
+    val filtered = q.having.fold(joined)(h => joined.filter(ExprEval.toColumn(h, {
+      case HistRef(a, k) => col(s"${a}__$k")
+      case l             => col(out.item(l)._1)
+    })))
+    filtered.select(("win" +: out.returns.map(_._1)).map(col): _*)
   }
 }

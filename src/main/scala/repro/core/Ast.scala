@@ -122,17 +122,6 @@ object Ast {
   def entityOccurrences(e: EventPat): Seq[(String, String, String)] =
     Seq((e.subj.name, e.subj.kind, "subj"), (e.obj.name, e.obj.kind, "obj"))
 
-  /** Collect every variable name referenced by an expression. */
-  def varsOf(e: Expr): Set[String] = e match {
-    case VarRef(n)      => Set(n)
-    case AttrRef(n, _)  => Set(n)
-    case Agg(_, a)      => varsOf(a)
-    case Bin(_, l, r)   => varsOf(l) ++ varsOf(r)
-    case Not(x)         => varsOf(x)
-    case HistRef(a, _)  => Set(a)
-    case _              => Set.empty
-  }
-
   /** Every historical reference `alias[k]` in an expression, as (alias, k). */
   def collectHists(e: Expr): Seq[(String, Int)] = e match {
     case HistRef(a, k) => Seq((a, k))

@@ -62,9 +62,6 @@ object Attrs {
     case other => throw ResolveError(s"unknown entity kind '$other'")
   }
 
-  /** The default attribute shortcut for a bare variable in `return`. */
-  def defaultAttr(kind: String, role: String): String = entityAttr(kind, role, "")
-
   /** Identity column(s) used to join the same entity variable across events. */
   def joinKey(kind: String, role: String): String = kind match {
     case "proc" => if (role == "subj") "subj_pid" else "obj_pid"
@@ -79,8 +76,6 @@ object Attrs {
     * what lets dependency queries follow a `connect` across hosts.
     */
   def isHostLocal(kind: String): Boolean = kind != "ip"
-
-  def isNumericColumn(col: String): Boolean = EventSchema.numericColumns.contains(col)
 }
 
 /** Time-window parsing for global clauses. Dates use the paper's
@@ -89,8 +84,6 @@ object Attrs {
 object Times {
   private val dateFmt = DateTimeFormatter.ofPattern("MM/dd/yyyy")
   private val dateTimeFmt = DateTimeFormatter.ofPattern("MM/dd/yyyy HH:mm:ss")
-
-  final case class TimeParseError(msg: String) extends RuntimeException(msg)
 
   /** Parse a global time literal to epoch millis (UTC). */
   def parseMs(s: String): Long = {
@@ -106,7 +99,7 @@ object Times {
     */
   def window(globals: Seq[Ast.Global]): Option[(Long, Long)] = {
     val ws = globals.collect {
-      case Ast.TimeAt(d)       => val s = parseMs(d); (s, s + repro.events.EventSchema.DayMillis)
+      case Ast.TimeAt(d)       => val s = parseMs(d); (s, s + EventSchema.DayMillis)
       case Ast.TimeFromTo(f, t) => (parseMs(f), parseMs(t))
     }
     if (ws.isEmpty) None
@@ -117,7 +110,7 @@ object Times {
     * partition values to prune to.
     */
   def daysOf(startMs: Long, endMs: Long): Seq[String] = {
-    val day = repro.events.EventSchema.DayMillis
+    val day = EventSchema.DayMillis
     val first = math.floorDiv(startMs, day)
     val last  = math.floorDiv(math.max(startMs, endMs - 1), day)
     (first to last).map { d =>

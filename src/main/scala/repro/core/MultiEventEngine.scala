@@ -138,6 +138,7 @@ private[repro] final class BaseLoader(
 final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf) {
 
   import MultiEventEngine._
+  import Scope.{aggColumnOf, SemanticError}
 
   // ------------------------------------------------------------ validation
 
@@ -182,9 +183,11 @@ final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf)
   /** Run a multievent query and return the projected matches. */
   def execute(q: MultiEventQuery): DataFrame = {
     validate(q)
+    val scope = new Scope(q.events)
+    val out = Scope.shape(q)
     val (base, footRows) = loader.baseEventsWithSize(q.globals)
     val preds = q.events.map(PatternCompiler.compile)
-    val cols = usedColumns(q)
+    val cols = usedColumns(q, scope)
 
     // Cost-based fast path: a footprint whose Parquet footers say it is
     // small (a host-day, or every host's events of a day at small scale)
@@ -196,7 +199,7 @@ final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf)
     val joined =
       (if (smallFoot && q.events.size > 1) joinInDriver(q, base, preds, cols) else None)
         .getOrElse(joinInSpark(q, base, preds, cols))
-    project(q, joined, firstOccurrences(q.events))
+    project(joined, scope, out)
   }
 
   /** The staged Spark plan: per-pattern scans of the relevant set, ordered
@@ -351,40 +354,17 @@ final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf)
   // --------------------------------------------------------------- pieces
 
   /** Schema columns a query can reference: pattern predicates, join keys,
-    * temporal/aggregation inputs, and every return/group/having leaf —
-    * computed so the relevant-set cache stores only what is needed.
+    * temporal/aggregation inputs, and every return/group leaf — computed so
+    * the relevant-set cache stores only what is needed.
     */
-  private def usedColumns(q: MultiEventQuery): Seq[String] = {
+  private def usedColumns(q: MultiEventQuery, scope: Scope): Seq[String] = {
     val s = scala.collection.mutable.Set("op", "obj_type", "ts", "agent_id")
-    val firstOcc = firstOccurrences(q.events)
-    def exprCols(e: Expr, resolveVar: String => Option[(String, String)]): Unit = e match {
-      case VarRef(v) => resolveVar(v).foreach { case (k, r) => s += Attrs.entityAttr(k, r, "") }
-      case AttrRef(v, a) if q.events.exists(_.alias == v) => s += Attrs.eventAttr(a)
-      case AttrRef(v, a) =>
-        resolveVar(v).foreach { case (k, r) => s += Attrs.entityAttr(k, r, a) }
-      case Bin(_, l, r) => exprCols(l, resolveVar); exprCols(r, resolveVar)
-      case Not(x)       => exprCols(x, resolveVar)
-      case Agg(_, a)    => exprCols(a, resolveVar)
-      case _            =>
+    for (e <- q.events; (ent, role) <- Seq((e.subj, "subj"), (e.obj, "obj"))) {
+      s += Attrs.joinKey(ent.kind, role)
+      for (f <- ent.filter) s ++= Scope.leaves(f).map(Scope.filterColumn(ent, role))
     }
-    for (e <- q.events) {
-      s += Attrs.joinKey(e.subj.kind, "subj")
-      s += Attrs.joinKey(e.obj.kind, "obj")
-      for (f <- e.subj.filter) exprCols(f, v => Some((e.subj.kind, "subj")))
-      for (f <- e.obj.filter)  exprCols(f, v => Some((e.obj.kind, "obj")))
-    }
-    val globalResolve = (v: String) => firstOcc.get(v).map { case (_, k, r) => (k, r) }
-    for (r <- q.returns) exprCols(r.expr, globalResolve)
-    for (g <- q.groupBy) exprCols(g, globalResolve)
-    for (h <- q.having)  exprCols(h, globalResolve)
+    for (e <- q.returns.map(_.expr) ++ q.groupBy; leaf <- Scope.leaves(e)) s += scope.column(leaf)._2
     EventSchema.columns.filter(s.contains)
-  }
-
-  private def firstOccurrences(events: Seq[EventPat]): Map[String, (String, String, String)] = {
-    val m = scala.collection.mutable.LinkedHashMap[String, (String, String, String)]()
-    for (e <- events; (v, k, r) <- Ast.entityOccurrences(e) if !m.contains(v))
-      m(v) = (e.alias, k, r)
-    m.toMap
   }
 
   /** The staged join: patterns in `order`, except that a pattern connected
@@ -431,58 +411,26 @@ final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf)
 
   // ----------------------------------------------------------- projection
 
-  /** Resolve `return` / `group by` items against the joined, prefixed state. */
-  private def project(q: MultiEventQuery, state: DataFrame,
-                      firstOcc: Map[String, (String, String, String)]): DataFrame = {
-    val aliases = q.events.map(_.alias).toSet
-
-    def resolveLeaf(e: Expr): Column = e match {
-      case VarRef(v) if aliases(v) =>
-        throw SemanticError(s"bare event alias '$v' is not returnable; use $v.<attr>")
-      case VarRef(v) =>
-        val (evt, kind, role) = firstOcc.getOrElse(v, throw SemanticError(s"unknown variable '$v'"))
-        col(s"${evt}__${Attrs.entityAttr(kind, role, "")}")
-      case AttrRef(v, a) if aliases(v) => col(s"${v}__${Attrs.eventAttr(a)}")
-      case AttrRef(v, a) =>
-        val (evt, kind, role) = firstOcc.getOrElse(v, throw SemanticError(s"unknown variable '$v'"))
-        col(s"${evt}__${Attrs.entityAttr(kind, role, a)}")
-      case other => throw SemanticError(s"unresolvable expression $other")
-    }
-
-    val hasAgg = q.returns.exists(r => ExprEval.hasAgg(r.expr))
-    if (!hasAgg) {
-      val cols = q.returns.map(r =>
-        ExprEval.toColumn(r.expr, resolveLeaf).as(r.alias.getOrElse(defaultAlias(r.expr))))
-      state.select(cols: _*)
-    } else {
-      if (q.groupBy.isEmpty && q.returns.exists(r => !ExprEval.hasAgg(r.expr)))
-        throw SemanticError("non-aggregate return items require 'group by'")
-      // name group keys after the return item that matches them (or a
-      // positional name), aggregate the rest
-      val keyCols = q.groupBy.map(g => ExprEval.toColumn(g, resolveLeaf).as(keyName(q.returns, g)))
-      val aggCols = q.returns.collect {
-        case ReturnItem(e, al) if ExprEval.hasAgg(e) =>
-          aggColumnOf(e, resolveLeaf).as(al.getOrElse(defaultAlias(e)))
-      }
+  /** Shape the joined, prefixed state into the query's output: the
+    * `return` items, grouped and filtered by `having` when they aggregate.
+    */
+  private def project(state: DataFrame, scope: Scope, out: Scope.Shape): DataFrame = {
+    def leaf(e: Expr): Column = { val (a, c) = scope.column(e); col(s"${a}__$c") }
+    if (out.aggs.isEmpty)
+      state.select(out.returns.map { case (n, e) => ExprEval.toColumn(e, leaf).as(n) }: _*)
+    else {
+      val keyCols = out.keys.map { case (n, g) => ExprEval.toColumn(g, leaf).as(n) }
+      val aggCols = out.aggs.map { case (n, e) => aggColumnOf(e, leaf).as(n) }
       val grouped =
         if (keyCols.isEmpty) state.agg(aggCols.head, aggCols.tail: _*)
         else state.groupBy(keyCols: _*).agg(aggCols.head, aggCols.tail: _*)
-      val outNames = q.returns.map { r =>
-        if (ExprEval.hasAgg(r.expr)) r.alias.getOrElse(defaultAlias(r.expr))
-        else {
-          val g = q.groupBy.find(_ == r.expr).getOrElse(
-            throw SemanticError(s"return item ${r.expr} is neither aggregated nor grouped"))
-          keyName(q.returns, g)
-        }
-      }
-      grouped.select(outNames.map(col): _*)
+      out.having.fold(grouped)(h => grouped.filter(ExprEval.toColumn(h, l => col(out.item(l)._1))))
+        .select(out.returns.map(r => col(r._1)): _*)
     }
   }
 }
 
 object MultiEventEngine {
-
-  final case class SemanticError(msg: String) extends RuntimeException(msg)
 
   /** A column `alias__column` of the joined, prefixed state. */
   private final case class Ref(alias: String, column: String)
@@ -503,27 +451,4 @@ object MultiEventEngine {
 
   /** One step of the staged join: pattern `i` joined to the earlier ones on `terms`. */
   private final case class Stage(i: Int, terms: Seq[JoinTerm])
-
-  /** Default output-column names for unaliased return items — the engine and
-    * [[SqlSynthesizer]] must agree exactly so results are diffable.
-    */
-  def defaultAlias(e: Expr): String = e match {
-    case VarRef(v)     => v
-    case AttrRef(v, a) => s"${v}_$a"
-    case Agg(f, arg)   => s"${f}_${defaultAlias(arg)}"
-    case _             => "expr"
-  }
-
-  /** Output name of a `group by` key: the alias of the return item it
-    * matches, else its default alias.
-    */
-  def keyName(returns: Seq[ReturnItem], g: Expr): String =
-    returns.find(_.expr == g).flatMap(_.alias).getOrElse(defaultAlias(g))
-
-  /** Spark aggregate of an aggregate return item; `count(evt)` counts rows. */
-  def aggColumnOf(e: Expr, resolve: Expr => Column): Column = e match {
-    case Agg("count", VarRef(_)) => count(lit(1))
-    case Agg(f, arg)             => ExprEval.aggColumn(f, ExprEval.toColumn(arg, resolve))
-    case other => throw SemanticError(s"expected aggregate, got $other")
-  }
 }

@@ -15,13 +15,6 @@ object PatternCompiler {
 
   final case class CompileError(msg: String) extends RuntimeException(msg)
 
-  /** Role of each entity variable inside a single pattern. */
-  def roles(e: EventPat): Map[String, (String, String)] = {
-    // var -> (kind, role); object wins if the same var appears twice (the
-    // self-reference predicate is added by compile()).
-    Map(e.subj.name -> (e.subj.kind, "subj"), e.obj.name -> (e.obj.kind, "obj"))
-  }
-
   /** Predicate selecting raw events that match the pattern. */
   def compile(e: EventPat): Column = {
     if (e.subj.kind != "proc")
@@ -38,11 +31,7 @@ object PatternCompiler {
     * attribute names in the entity's role.
     */
   def filterPred(ent: EntityPat, role: String, f: Expr): Column =
-    ExprEval.toColumn(f, {
-      case AttrRef(v, a) if v == ent.name => col(Attrs.entityAttr(ent.kind, role, a))
-      case AttrRef(v, a) => throw CompileError(s"filter of '${ent.name}' references '$v.$a'")
-      case other => throw CompileError(s"unsupported filter leaf $other")
-    })
+    ExprEval.toColumn(f, leaf => col(Scope.filterColumn(ent, role)(leaf)))
 
   /** Global constraints (time window + agents) as a residual predicate. The
     * engine additionally prunes partitions with the same bounds when reading

@@ -1,7 +1,6 @@
 package repro.core
 
 import Ast._
-import MultiEventEngine.{defaultAlias, keyName}
 import repro.events.EventSchema
 
 /** Synthesizes the semantically equivalent flat SQL for an AIQL query — the
@@ -42,6 +41,8 @@ object SqlSynthesizer {
   // ------------------------------------------------------------ multievent
 
   def multiEvent(q: MultiEventQuery, dialect: Dialect): Synth = {
+    val scope = new Scope(q.events)
+    val out = Scope.shape(q)
     val preds = Seq.newBuilder[String]
 
     def qcol(evt: String, c: String): String =
@@ -65,8 +66,8 @@ object SqlSynthesizer {
     for (e <- q.events) {
       preds += s"${qcol(e.alias, "op")} = '${esc(e.op)}'"
       preds += s"${qcol(e.alias, "obj_type")} = '${esc(e.obj.kind)}'"
-      for (f <- e.subj.filter) preds ++= filterAtoms(e.alias, e.subj, "subj", f, dialect)
-      for (f <- e.obj.filter)  preds ++= filterAtoms(e.alias, e.obj, "obj", f, dialect)
+      for (f <- e.subj.filter) preds ++= filterAtoms(e.subj, "subj", f, qcol(e.alias, _))
+      for (f <- e.obj.filter)  preds ++= filterAtoms(e.obj, "obj", f, qcol(e.alias, _))
       if (e.subj.name == e.obj.name)
         preds += s"${qcol(e.alias, Attrs.joinKey(e.subj.kind, "subj"))} = " +
                  s"${qcol(e.alias, Attrs.joinKey(e.obj.kind, "obj"))}"
@@ -91,31 +92,22 @@ object SqlSynthesizer {
       preds += s"${qcol(early, "ts")} < ${qcol(late, "ts")}"
     }
 
-    val firstOcc = occs.view.mapValues(_.head).toMap
-    def leafSql(e: Expr): String = e match {
-      case VarRef(v) if firstOcc.contains(v) =>
-        val (evt, k, r) = firstOcc(v); qcol(evt, Attrs.entityAttr(k, r, ""))
-      case AttrRef(v, a) if q.events.exists(_.alias == v) => qcol(v, Attrs.eventAttr(a))
-      case AttrRef(v, a) if firstOcc.contains(v) =>
-        val (evt, k, r) = firstOcc(v); qcol(evt, Attrs.entityAttr(k, r, a))
-      case other => throw SynthError(s"unresolvable leaf $other")
-    }
-
-    val items = q.returns.map { r =>
-      val name = r.alias.getOrElse(defaultAlias(r.expr))
-      s"${exprSql(r.expr, leafSql)} AS $name"
-    }
+    def leaf(e: Expr): String = { val (a, c) = scope.column(e); qcol(a, c) }
+    val items = out.returns.map { case (n, e) => s"${exprSql(e, leaf)} AS $n" }
     val grouping =
-      if (q.returns.exists(r => ExprEval.hasAgg(r.expr)) && q.groupBy.nonEmpty)
-        s"\nGROUP BY ${q.groupBy.map(g => exprSql(g, leafSql)).mkString(", ")}"
+      if (out.aggs.nonEmpty && out.keys.nonEmpty)
+        s"\nGROUP BY ${out.keys.map { case (_, g) => exprSql(g, leaf) }.mkString(", ")}"
       else ""
+    // standard SQL's HAVING cannot name an output column: each name is
+    // replaced by the key or aggregate it names
+    val having = out.having.fold("")(h => s"\nHAVING ${exprSql(h, l => exprSql(out.item(l)._2, leaf))}")
 
     val allPreds = preds.result()
     val sql =
       s"""SELECT ${items.mkString(", ")}
          |FROM ${q.events.map(e => s"events ${e.alias}").mkString(", ")}
-         |WHERE ${allPreds.mkString("\n  AND ")}$grouping""".stripMargin
-    Synth(sql, allPreds.size)
+         |WHERE ${allPreds.mkString("\n  AND ")}$grouping$having""".stripMargin
+    Synth(sql, allPreds.size + q.having.map(countAtoms).getOrElse(0))
   }
 
   // --------------------------------------------------------------- anomaly
@@ -149,37 +141,27 @@ object SqlSynthesizer {
 
     preds += s"${qcol("e", "op")} = '${esc(q.event.op)}'"
     preds += s"${qcol("e", "obj_type")} = '${esc(q.event.obj.kind)}'"
-    for (f <- q.event.subj.filter) preds ++= filterAtomsOn("e", q.event.subj, "subj", f, dialect)
-    for (f <- q.event.obj.filter)  preds ++= filterAtomsOn("e", q.event.obj, "obj", f, dialect)
+    for (f <- q.event.subj.filter) preds ++= filterAtoms(q.event.subj, "subj", f, qcol("e", _))
+    for (f <- q.event.obj.filter)  preds ++= filterAtoms(q.event.obj, "obj", f, qcol("e", _))
 
     // window containment
     preds += s"${qcol("e", "ts")} >= ${qcol("w", "wstart")}"
     preds += s"${qcol("e", "ts")} < ${qcol("w", "wend")}"
 
-    val roles = PatternCompiler.roles(q.event)
-    def leafSql(e: Expr): String = e match {
-      case VarRef(v) if roles.contains(v) =>
-        val (k, r) = roles(v); qcol("e", Attrs.entityAttr(k, r, ""))
-      case AttrRef(v, a) if v == q.event.alias => qcol("e", Attrs.eventAttr(a))
-      case AttrRef(v, a) if roles.contains(v) =>
-        val (k, r) = roles(v); qcol("e", Attrs.entityAttr(k, r, a))
-      case other => throw SynthError(s"unresolvable leaf $other")
-    }
-
-    val keySqls = q.groupBy.map(g => s"${exprSql(g, leafSql)} AS ${keyName(q.returns, g)}")
-    val aggItems = q.returns.collect {
-      case ReturnItem(e, al) if ExprEval.hasAgg(e) => (al.getOrElse(defaultAlias(e)), e)
-    }
-    val aggSqls = aggItems.map { case (name, e) => s"${exprSql(e, leafSql)} AS $name" }
+    val scope = new Scope(Seq(q.event))
+    def leaf(e: Expr): String = qcol("e", scope.column(e)._2)
+    val out = Scope.shape(q)
+    val keySqls = out.keys.map { case (n, g) => s"${exprSql(g, leaf)} AS $n" }
+    val aggSqls = out.aggs.map { case (n, e) => s"${exprSql(e, leaf)} AS $n" }
 
     val allPreds = preds.result()
     val aggCte =
       s"""SELECT ${(s"${qcol("w", "win")} AS win" +: keySqls ++: aggSqls).mkString(", ")}
          |  FROM events e, wins w
          |  WHERE ${allPreds.mkString("\n    AND ")}
-         |  GROUP BY ${(qcol("w", "win") +: q.groupBy.map(g => exprSql(g, leafSql))).mkString(", ")}""".stripMargin
+         |  GROUP BY ${(qcol("w", "win") +: out.keys.map { case (_, g) => exprSql(g, leaf) }).mkString(", ")}""".stripMargin
 
-    val keyNames = q.groupBy.map(keyName(q.returns, _))
+    val keyNames = out.keys.map(_._1)
     val hists = q.having.toSeq.flatMap(Ast.collectHists).distinct
     var havingConstraints = 0
     val joins = hists.map { case (alias, k) =>
@@ -189,24 +171,16 @@ object SqlSynthesizer {
       s"LEFT JOIN agg a${k}_$alias ON $on"
     }
 
-    def havingLeaf(e: Expr): String = e match {
-      case VarRef(v) if aggItems.exists(_._1 == v) => s"a0.$v"
-      case VarRef(v) if keyNames.contains(v)       => s"a0.$v"
-      case HistRef(a, k)                           => s"a${k}_$a.$a"
-      case other => throw SynthError(s"unresolvable having leaf $other")
-    }
-    val where = q.having match {
-      case None    => ""
-      case Some(h) => havingConstraints += countAtoms(h); s"\nWHERE ${exprSql(h, havingLeaf)}"
+    val where = q.having.fold("") { h =>
+      havingConstraints += countAtoms(h)
+      val output: Expr => String = {
+        case HistRef(a, k) => s"a${k}_$a.$a"
+        case l             => s"a0.${out.item(l)._1}"
+      }
+      s"\nWHERE ${exprSql(h, output)}"
     }
 
-    val outer = ("a0.win AS win" +: q.returns.map { r =>
-      val name =
-        if (ExprEval.hasAgg(r.expr)) r.alias.getOrElse(defaultAlias(r.expr))
-        else keyName(q.returns, q.groupBy.find(_ == r.expr).getOrElse(
-          throw SynthError(s"return item ${r.expr} is neither aggregated nor grouped")))
-      s"a0.$name AS $name"
-    }).mkString(", ")
+    val outer = ("a0.win AS win" +: out.returns.map { case (n, _) => s"a0.$n AS $n" }).mkString(", ")
 
     val sql =
       s"""WITH agg AS (
@@ -228,21 +202,10 @@ object SqlSynthesizer {
     case _            => 0
   }
 
-  /** Entity filter → SQL atoms over the event table aliased `evtAlias`. */
-  private def filterAtoms(evtAlias: String, ent: EntityPat, role: String,
-                          f: Expr, dialect: Dialect): Seq[String] =
-    filterAtomsOn(evtAlias, ent, role, f, dialect)
-
-  private def filterAtomsOn(tbl: String, ent: EntityPat, role: String,
-                            f: Expr, dialect: Dialect): Seq[String] = {
-    def leaf(e: Expr): String = e match {
-      case AttrRef(v, a) if v == ent.name =>
-        val c = Attrs.entityAttr(ent.kind, role, a)
-        if (dialect.castNumeric && EventSchema.numericColumns.contains(c))
-          s"CAST($tbl.$c AS BIGINT)"
-        else s"$tbl.$c"
-      case other => throw SynthError(s"unsupported filter leaf $other")
-    }
+  /** Entity filter → SQL atoms, each leaf's column rendered by `qcol`. */
+  private def filterAtoms(ent: EntityPat, role: String, f: Expr,
+                          qcol: String => String): Seq[String] = {
+    def leaf(e: Expr): String = qcol(Scope.filterColumn(ent, role)(e))
     // top-level conjunctions become separate atoms (matching WHERE style)
     def split(e: Expr): Seq[String] = e match {
       case Bin("&&", l, r) => split(l) ++ split(r)

@@ -4,7 +4,7 @@ import repro.{SparkSpec, TestUtil}
 import repro.attack.AttackDataGen.RawEv
 import repro.baseline.NaiveSqlBaseline
 import repro.events.EventSchema
-import MultiEventEngine.SemanticError
+import Scope.SemanticError
 
 class AnomalyEngineSpec extends SparkSpec {
 

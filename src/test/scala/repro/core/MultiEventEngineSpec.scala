@@ -1,10 +1,12 @@
 package repro.core
 
-import repro.{SparkSpec, TestUtil}
+import org.apache.spark.sql.DataFrame
+
+import repro.{Oracle, SparkSpec, TestUtil}
 import repro.baseline.NaiveSqlBaseline
 import repro.events.EventStore
 import Ast._
-import MultiEventEngine.SemanticError
+import Scope.SemanticError
 
 class MultiEventEngineSpec extends SparkSpec with EngineFixture {
 
@@ -198,6 +200,69 @@ class MultiEventEngineSpec extends SparkSpec with EngineFixture {
     assertThrows[SemanticError](run(
       s"""proc p write ip i as evt
          |return p, count(evt) as n""".stripMargin))
+  }
+
+  test("history reference in a multievent having is rejected") {
+    val q = s"""$at
+               |proc p write ip i as evt
+               |return p, count(evt) as n
+               |group by p
+               |having n > n[1]""".stripMargin
+    assertThrows[SemanticError](run(q))
+    assertThrows[SemanticError](SqlSynthesizer.forQuery(Parser.parse(q), SqlSynthesizer.Spark))
+  }
+
+  test("having without an aggregate return is rejected") {
+    val q = s"""$at
+               |proc p write ip i as evt
+               |return p
+               |group by p
+               |having p > 1""".stripMargin
+    assertThrows[SemanticError](run(q))
+    assertThrows[SemanticError](SqlSynthesizer.forQuery(Parser.parse(q), SqlSynthesizer.Spark))
+  }
+
+  // -------------------------------------------------------------- having
+
+  /** Grouped queries whose `having` drops some groups (or the one global
+    * aggregate), with the canonical rows it keeps: on an aggregate alias,
+    * on a group key with LIKE, and with no `group by`.
+    */
+  private val havingQueries = Seq(
+    s"""$at
+       |proc p write file f as evt
+       |return f, count(evt) as n
+       |group by f
+       |having n > 1""".stripMargin -> Seq(Seq("/d/backup.dmp", "2")),
+    s"""$at
+       |proc p1["%cmd.exe"] start proc p2 as evt1
+       |proc p2 write file f as evt2
+       |return f, count(evt2) as n, sum(evt2.amount) as total
+       |group by f
+       |having f != "%backup%" && total >= 10""".stripMargin -> Seq(Seq("/d/other.dmp", "1", "10")),
+    s"""$at
+       |proc p write ip i as evt
+       |return count(evt) as n, sum(evt.amount) as total
+       |having total > 1000""".stripMargin -> Seq(),
+  )
+
+  private def assertHaving(got: DataFrame, q: String, rows: Seq[Seq[String]], events: DataFrame): Unit = {
+    assert(TestUtil.canon(got) == rows)
+    TestUtil.assertSameRows(got, new NaiveSqlBaseline(spark, events).execute(q), "having")
+    Oracle.assertEquivalent(got, SqlSynthesizer.forQuery(Parser.parse(q), SqlSynthesizer.DuckDb).sql,
+      "events" -> events)
+  }
+
+  for (((q, rows), k) <- havingQueries.zipWithIndex) {
+    test(s"having keeps only the groups it accepts, as the SQL and DuckDB do: query $k") {
+      assertHaving(run(q), q, rows, fixtureDf)
+    }
+
+    test(s"having keeps only the groups it accepts, as the SQL and DuckDB do (store-backed): query $k") {
+      val aiql = new Aiql(spark, StorePath(fixtureStore))
+      try assertHaving(aiql.query(q), q, rows, EventStore.read(spark, fixtureStore))
+      finally aiql.close()
+    }
   }
 
   // ------------------------------------------------- optimization configs

@@ -80,9 +80,4 @@ class PatternCompilerSpec extends SparkSpec with EngineFixture {
   test("global predicate: empty globals select everything") {
     assert(fixtureDf.filter(PatternCompiler.globalPred(Nil)).count() == fixtureDf.count())
   }
-
-  test("roles map reports kind and role per variable") {
-    val e = pat("proc p write ip i as evt")
-    assert(PatternCompiler.roles(e) == Map("p" -> ("proc", "subj"), "i" -> ("ip", "obj")))
-  }
 }
