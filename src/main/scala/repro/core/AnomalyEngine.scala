@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 import Ast._
@@ -15,20 +15,16 @@ import Ast._
   * Aggregates are computed per (window, group); the `having` clause may
   * reference the aggregate of the k-th *previous* window via `alias[k]`
   * (exact offset — if the group has no row at window w−k the reference is
-  * NULL and the comparison fails, as in SQL).
+  * NULL and the comparison fails, as in SQL); [[Scope.project]] renders it.
   *
   * Output: one row per surviving (window, group), with a leading `win`
   * column (window index) followed by the `return` items.
   */
 final class AnomalyEngine private[repro] (loader: BaseLoader) {
 
-  import Scope.{aggColumnOf, SemanticError}
-
   def execute(q: AnomalyQuery): DataFrame = {
-    if (q.stepMs <= 0 || q.windowMs <= 0)
-      throw SemanticError("window and step must be positive")
     val (t0, t1) = Times.window(q.globals).getOrElse(
-      throw SemanticError("anomaly query requires a global time window"))
+      throw Scope.SemanticError("anomaly query requires a global time window"))
 
     val base = loader.baseEvents(q.globals).filter(PatternCompiler.compile(q.event))
 
@@ -38,28 +34,8 @@ final class AnomalyEngine private[repro] (loader: BaseLoader) {
     val wlo = greatest(lit(0L), (floor((col("ts") - t0 - q.windowMs) / q.stepMs) + 1).cast("long"))
     val windowed = base.withColumn("win", explode(sequence(wlo, whi)))
 
-    // bind expressions to the single pattern's raw columns
+    // the single pattern's leaves bind to raw columns
     val scope = new Scope(Seq(q.event))
-    def leaf(e: Expr): Column = col(scope.column(e)._2)
-    val out = Scope.shape(q)
-    val keyCols = out.keys.map { case (n, g) => ExprEval.toColumn(g, leaf).as(n) }
-    val aggCols = out.aggs.map { case (n, e) => aggColumnOf(e, leaf).as(n) }
-    val grouped = windowed.groupBy(col("win") +: keyCols: _*).agg(aggCols.head, aggCols.tail: _*)
-
-    // historical references alias[k] -> left self-join at window win-k
-    val hists = q.having.toSeq.flatMap(Ast.collectHists).distinct
-    val keyNames = out.keys.map(_._1)
-    var joined = grouped
-    for ((alias, k) <- hists) {
-      val prev = grouped.select(
-        (col("win") + k).as("win") +: keyNames.map(col) :+ col(alias).as(s"${alias}__$k"): _*)
-      joined = joined.join(prev, Seq("win") ++ keyNames, "left")
-    }
-
-    val filtered = q.having.fold(joined)(h => joined.filter(ExprEval.toColumn(h, {
-      case HistRef(a, k) => col(s"${a}__$k")
-      case l             => col(out.item(l)._1)
-    })))
-    filtered.select(("win" +: out.returns.map(_._1)).map(col): _*)
+    Scope.project(windowed, Scope.shape(q), e => col(scope.column(e)._2), Some("win"))
   }
 }

@@ -13,7 +13,8 @@ import Ast._
   * prefixed columns or aggregate aliases.
   *
   * String equality against a literal containing `%` means LIKE-matching
-  * (AIQL's `["%cmd.exe"]` and `[dstip = "10.0.0.1"]` both use `=`).
+  * (AIQL's `["%cmd.exe"]` and `[dstip = "10.0.0.1"]` both use `=`); the
+  * parser puts such a literal on the right.
   */
 object ExprEval {
 
@@ -24,7 +25,6 @@ object ExprEval {
     case NumLit(t)                         => lit(t.toDouble)
     case StrLit(s)                         => lit(s)
     case Bin("=", l, StrLit(s)) if s.contains("%") => toColumn(l, resolve).like(s)
-    case Bin("=", StrLit(s), r) if s.contains("%") => toColumn(r, resolve).like(s)
     case Bin("!=", l, StrLit(s)) if s.contains("%") => !toColumn(l, resolve).like(s)
     case Bin(op, l, r) =>
       val (lc, rc) = (toColumn(l, resolve), toColumn(r, resolve))

@@ -138,7 +138,7 @@ private[repro] final class BaseLoader(
 final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf) {
 
   import MultiEventEngine._
-  import Scope.{aggColumnOf, SemanticError}
+  import Scope.SemanticError
 
   // ------------------------------------------------------------ validation
 
@@ -199,7 +199,7 @@ final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf)
     val joined =
       (if (smallFoot && q.events.size > 1) joinInDriver(q, base, preds, cols) else None)
         .getOrElse(joinInSpark(q, base, preds, cols))
-    project(joined, scope, out)
+    Scope.project(joined, out, e => { val (a, c) = scope.column(e); col(s"${a}__$c") })
   }
 
   /** The staged Spark plan: per-pattern scans of the relevant set, ordered
@@ -407,26 +407,6 @@ final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf)
         if (rel == "before") Before(l, r) else Before(r, l)
     }
     (keys ++ times).distinct
-  }
-
-  // ----------------------------------------------------------- projection
-
-  /** Shape the joined, prefixed state into the query's output: the
-    * `return` items, grouped and filtered by `having` when they aggregate.
-    */
-  private def project(state: DataFrame, scope: Scope, out: Scope.Shape): DataFrame = {
-    def leaf(e: Expr): Column = { val (a, c) = scope.column(e); col(s"${a}__$c") }
-    if (out.aggs.isEmpty)
-      state.select(out.returns.map { case (n, e) => ExprEval.toColumn(e, leaf).as(n) }: _*)
-    else {
-      val keyCols = out.keys.map { case (n, g) => ExprEval.toColumn(g, leaf).as(n) }
-      val aggCols = out.aggs.map { case (n, e) => aggColumnOf(e, leaf).as(n) }
-      val grouped =
-        if (keyCols.isEmpty) state.agg(aggCols.head, aggCols.tail: _*)
-        else state.groupBy(keyCols: _*).agg(aggCols.head, aggCols.tail: _*)
-      out.having.fold(grouped)(h => grouped.filter(ExprEval.toColumn(h, l => col(out.item(l)._1))))
-        .select(out.returns.map(r => col(r._1)): _*)
-    }
   }
 }
 

@@ -35,6 +35,9 @@ object Parser {
     "hour" -> 3600000L, "hours" -> 3600000L, "h" -> 3600000L,
   )
 
+  /** Each comparison operator and its mirror image (`a < b` is `b > a`). */
+  private val flipped = Map("=" -> "=", "!=" -> "!=", "<" -> ">", "<=" -> ">=", ">" -> "<", ">=" -> "<=")
+
   private val aggFuncs = Set("avg", "sum", "count", "min", "max")
   private val entityKinds = Set("proc", "file", "ip")
 
@@ -186,10 +189,10 @@ object Parser {
 
     private def parseAnomaly(globals: Seq[Global]): AnomalyQuery = {
       expectIdent("window"); expectPunct("=")
-      val w = parseDuration()
+      val w = parsePositiveDuration("window")
       expectPunct(",")
       expectIdent("step"); expectPunct("=")
-      val s = parseDuration()
+      val s = parsePositiveDuration("step")
       val events = parseEventDecls()
       if (events.size != 1) fail("anomaly query declares exactly one event pattern")
       val rets = parseReturn()
@@ -198,11 +201,14 @@ object Parser {
       AnomalyQuery(globals, w, s, events.head, rets, grp, hav)
     }
 
-    private def parseDuration(): Long = {
+    private def parsePositiveDuration(what: String): Long = {
+      val at = cur.pos
       val n = num()
       val unit = ident().toLowerCase
       val mult = durUnits.getOrElse(unit, fail(s"unknown duration unit '$unit'"))
-      (n * mult).toLong
+      val ms = (n * mult).toLong
+      if (ms <= 0) throw ParseError(s"$what must be at least 1 ms", at)
+      ms
     }
 
     // ----------------------------------------------------------- clauses
@@ -254,12 +260,18 @@ object Parser {
       if (cur.is("!")) { i += 1; Not(parseNot(inFilter)) }
       else parseCmp(inFilter)
 
+    /** A comparison, with a string literal moved to the right-hand side
+      * (`"%x%" = a` is `a = "%x%"`), where `%` makes it a LIKE pattern.
+      */
     private def parseCmp(inFilter: Option[String]): Expr = {
       val l = parseAdd(inFilter)
-      val ops = Set("=", "!=", "<", "<=", ">", ">=")
-      if (cur.kind == TPunct && ops.contains(cur.text)) {
+      if (cur.kind == TPunct && flipped.contains(cur.text)) {
         val op = advance().text
-        Bin(op, l, parseAdd(inFilter))
+        val r = parseAdd(inFilter)
+        l match {
+          case s: StrLit => Bin(flipped(op), r, s)
+          case _         => Bin(op, l, r)
+        }
       } else l
     }
 

@@ -1,7 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions.{count, lit}
+import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.expressions.Window
+import org.apache.spark.sql.functions.{col, count, first, lit, when}
 
 import Ast._
 
@@ -67,7 +68,8 @@ object Scope {
     * the group keys, the aggregate return items and all return items, each
     * with its output name, and the `having` filter, whose leaves name a key
     * or an aggregate (or, in an anomaly query, an aggregate `k` windows
-    * earlier: `amt[k]`). A query without aggregates is not grouped.
+    * earlier: `amt[k]`). A query without aggregates is not grouped, and
+    * may have neither `group by` nor `having`.
     */
   final case class Shape(keys: Seq[(String, Expr)], aggs: Seq[(String, Expr)],
                          returns: Seq[(String, Expr)], having: Option[Expr]) {
@@ -111,12 +113,42 @@ object Scope {
       case HistRef(_, _)         =>
       case leaf                  => out.item(leaf)
     }
+    if (groupBy.nonEmpty && aggs.isEmpty) throw SemanticError("'group by' needs an aggregate in return")
     for (h <- having) {
       if (aggs.isEmpty) throw SemanticError("'having' needs an aggregate in return")
       check(h)
     }
     out
   }
+
+  /** Render `out` over `df`, whose leaves `leaf` binds — the one projection
+    * of both engines. Without aggregates it selects the `return` items.
+    * With them it groups by the `window` column (when given) and the keys,
+    * then filters by `having`, where `amt[k]` is the same group's `amt` in
+    * window `win − k`: a range frame, so a missing window (or a NULL key,
+    * which equals nothing) reads NULL, as the SQL's left join does. The
+    * output is the `window` column, if any, then the `return` items.
+    */
+  def project(df: DataFrame, out: Shape, leaf: Expr => Column,
+              window: Option[String] = None): DataFrame =
+    if (out.aggs.isEmpty)
+      df.select(out.returns.map { case (n, e) => ExprEval.toColumn(e, leaf).as(n) }: _*)
+    else {
+      val keys = out.keys.map { case (n, g) => ExprEval.toColumn(g, leaf).as(n) }
+      val aggs = out.aggs.map { case (n, e) => aggColumnOf(e, leaf).as(n) }
+      val grouped = df.groupBy(window.map(col) ++: keys: _*).agg(aggs.head, aggs.tail: _*)
+      val keyCols = out.keys.map(kc => col(kc._1))
+      val known = keyCols.map(_.isNotNull).foldLeft(lit(true))(_ && _)
+      // Spark evaluates no window function inside a filter: add each
+      // history column first
+      val hists = for (h <- out.having.toSeq; (a, k) <- Ast.collectHists(h).distinct; w <- window)
+        yield when(known, first(col(a)).over(
+          Window.partitionBy(keyCols: _*).orderBy(col(w)).rangeBetween(-k, -k))).as(s"${a}__$k")
+      out.having.fold(grouped)(h => grouped.select(col("*") +: hists: _*).filter(ExprEval.toColumn(h, {
+        case HistRef(a, k) => col(s"${a}__$k")
+        case l             => col(out.item(l)._1)
+      }))).select((window ++: out.returns.map(_._1)).map(col): _*)
+    }
 
   /** Default output-column names for unaliased return items — the engines
     * and [[SqlSynthesizer]] must agree exactly so results are diffable.
@@ -135,7 +167,7 @@ object Scope {
     returns.find(_.expr == g).flatMap(_.alias).getOrElse(defaultAlias(g))
 
   /** Spark aggregate of an aggregate return item; `count(evt)` counts rows. */
-  def aggColumnOf(e: Expr, resolve: Expr => Column): Column = e match {
+  private def aggColumnOf(e: Expr, resolve: Expr => Column): Column = e match {
     case Agg("count", VarRef(_)) => count(lit(1))
     case Agg(f, arg)             => ExprEval.aggColumn(f, ExprEval.toColumn(arg, resolve))
     case other => throw SemanticError(s"expected aggregate, got $other")

@@ -50,28 +50,7 @@ object SqlSynthesizer {
         s"CAST($evt.$c AS BIGINT)"
       else s"$evt.$c"
 
-    // global constraints — repeated for every event table in the naive SQL
-    val window = Times.window(q.globals)
-    val agents = Times.agents(q.globals)
-    for (e <- q.events) {
-      for ((s, t) <- window) {
-        preds += s"${qcol(e.alias, "ts")} >= $s"
-        preds += s"${qcol(e.alias, "ts")} < $t"
-      }
-      for (as <- agents)
-        preds += s"${qcol(e.alias, "agent_id")} IN (${as.mkString(", ")})"
-    }
-
-    // per-pattern predicates
-    for (e <- q.events) {
-      preds += s"${qcol(e.alias, "op")} = '${esc(e.op)}'"
-      preds += s"${qcol(e.alias, "obj_type")} = '${esc(e.obj.kind)}'"
-      for (f <- e.subj.filter) preds ++= filterAtoms(e.subj, "subj", f, qcol(e.alias, _))
-      for (f <- e.obj.filter)  preds ++= filterAtoms(e.obj, "obj", f, qcol(e.alias, _))
-      if (e.subj.name == e.obj.name)
-        preds += s"${qcol(e.alias, Attrs.joinKey(e.subj.kind, "subj"))} = " +
-                 s"${qcol(e.alias, Attrs.joinKey(e.obj.kind, "obj"))}"
-    }
+    preds ++= patternPreds(q.globals, q.events, qcol)
 
     // implicit attribute relationships: same variable across events
     val occs = scala.collection.mutable.LinkedHashMap[String, Vector[(String, String, String)]]()
@@ -131,18 +110,7 @@ object SqlSynthesizer {
         s"CAST($tbl.$c AS BIGINT)"
       else s"$tbl.$c"
 
-    val window = Times.window(q.globals)
-    for ((s, t) <- window) {
-      preds += s"${qcol("e", "ts")} >= $s"
-      preds += s"${qcol("e", "ts")} < $t"
-    }
-    for (as <- Times.agents(q.globals))
-      preds += s"${qcol("e", "agent_id")} IN (${as.mkString(", ")})"
-
-    preds += s"${qcol("e", "op")} = '${esc(q.event.op)}'"
-    preds += s"${qcol("e", "obj_type")} = '${esc(q.event.obj.kind)}'"
-    for (f <- q.event.subj.filter) preds ++= filterAtoms(q.event.subj, "subj", f, qcol("e", _))
-    for (f <- q.event.obj.filter)  preds ++= filterAtoms(q.event.obj, "obj", f, qcol("e", _))
+    preds ++= patternPreds(q.globals, Seq(q.event.copy(alias = "e")), qcol)
 
     // window containment
     preds += s"${qcol("e", "ts")} >= ${qcol("w", "wstart")}"
@@ -200,6 +168,36 @@ object SqlSynthesizer {
     case Bin(_, _, _) => 1
     case Not(x)       => countAtoms(x)
     case _            => 0
+  }
+
+  /** The atoms of the global constraints, repeated for every event table
+    * as in the naive SQL, then of each pattern: operation, object type,
+    * entity filters, and subject = object for a variable that is both. Each
+    * event's table is named by its alias; `qcol` renders a column of it.
+    */
+  private def patternPreds(globals: Seq[Global], events: Seq[EventPat],
+                           qcol: (String, String) => String): Seq[String] = {
+    val preds = Seq.newBuilder[String]
+    val window = Times.window(globals)
+    val agents = Times.agents(globals)
+    for (e <- events) {
+      for ((s, t) <- window) {
+        preds += s"${qcol(e.alias, "ts")} >= $s"
+        preds += s"${qcol(e.alias, "ts")} < $t"
+      }
+      for (as <- agents)
+        preds += s"${qcol(e.alias, "agent_id")} IN (${as.mkString(", ")})"
+    }
+    for (e <- events) {
+      preds += s"${qcol(e.alias, "op")} = '${esc(e.op)}'"
+      preds += s"${qcol(e.alias, "obj_type")} = '${esc(e.obj.kind)}'"
+      for (f <- e.subj.filter) preds ++= filterAtoms(e.subj, "subj", f, qcol(e.alias, _))
+      for (f <- e.obj.filter)  preds ++= filterAtoms(e.obj, "obj", f, qcol(e.alias, _))
+      if (e.subj.name == e.obj.name)
+        preds += s"${qcol(e.alias, Attrs.joinKey(e.subj.kind, "subj"))} = " +
+                 s"${qcol(e.alias, Attrs.joinKey(e.obj.kind, "obj"))}"
+    }
+    preds.result()
   }
 
   /** Entity filter → SQL atoms, each leaf's column rendered by `qcol`. */

@@ -222,6 +222,26 @@ class MultiEventEngineSpec extends SparkSpec with EngineFixture {
     assertThrows[SemanticError](SqlSynthesizer.forQuery(Parser.parse(q), SqlSynthesizer.Spark))
   }
 
+  test("group by without an aggregate return is rejected") {
+    val q = s"""$at
+               |proc p write ip i as evt
+               |return p
+               |group by p""".stripMargin
+    assertThrows[SemanticError](run(q))
+    assertThrows[SemanticError](SqlSynthesizer.forQuery(Parser.parse(q), SqlSynthesizer.Spark))
+  }
+
+  test("a LIKE pattern on the left of = or != matches as on the right, as the SQL does") {
+    for ((op, exe) <- Seq("=" -> "powershell.exe", "!=" -> "sbblv.exe")) {
+      val q = s"""$at
+                 |proc p["%powershell%" $op exe_name] write ip i as evt
+                 |return p, i""".stripMargin
+      val got = run(q)
+      assert(TestUtil.canon(got) == Seq(Seq("9.9.9.9", exe)), op)
+      TestUtil.assertSameRows(got, new NaiveSqlBaseline(spark, fixtureDf).execute(q), op)
+    }
+  }
+
   // -------------------------------------------------------------- having
 
   /** Grouped queries whose `having` drops some groups (or the one global

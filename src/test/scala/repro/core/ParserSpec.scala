@@ -203,6 +203,26 @@ class ParserSpec extends AnyFunSuite {
     assert(win("500 ms") == 500L)
   }
 
+  test("error: a window or step below 1 ms, at its duration") {
+    for ((w, st) <- Seq("0 sec" -> "1 sec", "1 min" -> "0 sec", "0.1 ms" -> "1 sec")) {
+      val head = s"(at \"08/01/2023\")\nwindow = $w, step = "
+      val src = s"""$head$st
+                   |proc p write ip i as evt
+                   |return p, avg(evt.amount) as amt
+                   |group by p""".stripMargin
+      val e = intercept[ParseError](Parser.parse(src))
+      assert(e.pos == (if (st == "0 sec") head.length else head.indexOf(w)), src)
+    }
+  }
+
+  test("a string literal on the left of a comparison moves to the right") {
+    val q = parseMulti("""proc p["%cmd%" = exe_name && "m" < exe_name && "b" != exe_name] read file f as evt
+                         |return p""".stripMargin)
+    assert(q.events.head.subj.filter.contains(Bin("&&",
+      Bin("&&", Bin("=", AttrRef("p", "exe_name"), StrLit("%cmd%")), Bin(">", AttrRef("p", "exe_name"), StrLit("m"))),
+      Bin("!=", AttrRef("p", "exe_name"), StrLit("b")))))
+  }
+
   test("keywords are case-insensitive") {
     val q = Parser.parse("PROC p READ FILE f AS evt\nRETURN p")
     assert(q.isInstanceOf[MultiEventQuery])

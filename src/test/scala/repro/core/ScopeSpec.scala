@@ -61,14 +61,16 @@ class ScopeSpec extends SparkSpec {
     assertThrows[SemanticError](out.item(VarRef("p")))
   }
 
-  /** One event in which process 10 ("bash") starts a process with its own
-    * pid that runs "python", as an exec does.
+  /** Process 10 ("bash") starts a process with its own pid that runs
+    * "python", as an exec does, and then a child with a new pid, as a fork
+    * does: only the first is a self-start.
     */
   private lazy val selfStart = {
     import spark.implicits._
-    Seq(RawEv(1, 1, Times.parseMs("08/01/2023") + 1000, "start", 10, "bash", "proc", Some(10L),
-              Some("python"), None, None, None, None, None, None, "2023-08-01"))
-      .toDS().toDF(EventSchema.columns: _*)
+    def start(id: Long, ms: Long, objPid: Long, objExe: String) =
+      RawEv(id, 1, Times.parseMs("08/01/2023") + ms, "start", 10, "bash", "proc", Some(objPid),
+            Some(objExe), None, None, None, None, None, None, "2023-08-01")
+    Seq(start(1, 1000, 10, "python"), start(2, 2000, 11, "ls")).toDS().toDF(EventSchema.columns: _*)
   }
 
   test("a variable that is subject and object of one pattern binds to the subject in both query classes") {
