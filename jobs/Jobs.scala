@@ -15,10 +15,6 @@ object JobEnv {
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .getOrCreate()
 
-  def sf(args: Array[String]): Double =
-    args.headOption.map(_.toDouble)
-      .getOrElse(sys.env.getOrElse("REPRO_SF", "2.0").toDouble)
-
   def timed[A](f: => A): (A, Long) = {
     val t0 = System.nanoTime()
     val a = f

@@ -15,7 +15,6 @@ object Ast {
 
   /** Numeric literal; the original text is kept for faithful SQL emission. */
   final case class NumLit(text: String) extends Expr {
-    def value: Double = text.toDouble
     def isIntegral: Boolean = !text.exists(c => c == '.' || c == 'e' || c == 'E')
   }
 

@@ -28,8 +28,8 @@ final case class AiqlConf(
       * broadcast into the staged join (set < 0 to disable; the naive SQL
       * comparator has no stats and keeps default shuffle joins). A
       * multi-pattern query over a store footprint of at most this many rows
-      * (agent-bound, day-wide or the whole store, sized from the Parquet
-      * footers) is joined in the driver, as long as its joined rows stay
+      * (agent-bound, day-wide or the whole store, sized from the store's
+      * catalog) is joined in the driver, as long as its joined rows stay
       * within it.
       */
     broadcastThreshold: Long = 200000,
@@ -59,14 +59,14 @@ final case class InMemory(df: DataFrame) extends EventSource
 private[repro] final class BaseLoader(
     spark: SparkSession, source: EventSource, conf: AiqlConf) {
 
-  private val pins = scala.collection.mutable.Map[(Int, String), (DataFrame, Long)]()
+  private val pins = scala.collection.mutable.Map[(Int, String), DataFrame]()
 
   /** The `(agent_id, day)` partitions pinned in memory. */
   def pinned: Set[(Int, String)] = synchronized(pins.keySet.toSet)
 
   /** Unpersist every partition this loader pinned in memory. */
   def close(): Unit = synchronized {
-    pins.values.foreach(_._1.unpersist())
+    pins.values.foreach(_.unpersist())
     pins.clear()
   }
 
@@ -74,15 +74,14 @@ private[repro] final class BaseLoader(
     baseEventsWithSize(globals)._1
 
   /** Base events for the globals plus, for a store, the footprint's row
-    * count from the Parquet footers (no Spark job). The residual global
+    * count from the store's catalog (no Spark job). The residual global
     * predicate is always applied on top of the (possibly partition-pruned)
     * scan, so under a `from … to …` window the count is an upper bound.
     * A footprint bound to exactly one agent first pins its partitions — the
     * host under investigation, reused by every query on it. Any agent-bound
     * footprint then reads its pinned partitions from their pins and the
-    * others from one `by_agent_day` scan, sized by the pins' recorded counts
-    * plus the cold partitions' footers. A day-wide or whole-store footprint
-    * is left to the vectorized Parquet scan, which outruns Spark's
+    * others from one `by_agent_day` scan. A day-wide or whole-store
+    * footprint is left to the vectorized Parquet scan, which outruns Spark's
     * in-memory cache format on wide rows.
     */
   def baseEventsWithSize(globals: Seq[Ast.Global]): (DataFrame, Option[Long]) = {
@@ -94,33 +93,30 @@ private[repro] final class BaseLoader(
           if (conf.partitionPruning)
             Times.window(globals).map { case (s, t) => Times.daysOf(s, t) }
           else None
-        agents match {
+        val df = agents match {
           case Some(as) =>
             val (hot, cold) = split(p, EventStore.partitions(p, as, days), admit = as.size == 1)
             val reads =
               if (cold.isEmpty && hot.nonEmpty) hot
-              else hot :+ (EventStore.readPartitions(spark, p, cold) ->
-                           EventStore.partitionRows(spark, p, cold))
-            (reads.map(_._1).reduce(_ union _), Some(reads.map(_._2).sum))
-          case None =>
-            (EventStore.readPruned(spark, p, agents, days),
-             Some(EventStore.prunedRows(spark, p, agents, days)))
+              else hot :+ EventStore.readPartitions(spark, p, cold)
+            reads.reduce(_ union _)
+          case None => EventStore.readPruned(spark, p, agents, days)
         }
+        (df, Some(EventStore.prunedRows(p, agents, days)))
     }
     (df.filter(PatternCompiler.globalPred(globals)), rows)
   }
 
-  /** The pinned frames and row counts of `parts`, and the partitions of
-    * `parts` not pinned. With `admit`, every partition not pinned yet is
-    * pinned first: cached lazily — the first query that reads it
-    * materializes it in its own job — and sized from its Parquet footers.
+  /** The pinned frames of `parts`, and the partitions of `parts` not
+    * pinned. With `admit`, every partition not pinned yet is pinned first:
+    * cached lazily — the first query that reads it materializes it in its
+    * own job.
     */
   private def split(path: String, parts: Seq[(Int, String)],
-                    admit: Boolean): (Seq[(DataFrame, Long)], Seq[(Int, String)]) = synchronized {
+                    admit: Boolean): (Seq[DataFrame], Seq[(Int, String)]) = synchronized {
     if (admit)
       for (part <- parts if !pins.contains(part))
-        pins(part) = (EventStore.readPartitions(spark, path, Seq(part)).cache(),
-                      EventStore.partitionRows(spark, path, Seq(part)))
+        pins(part) = EventStore.readPartitions(spark, path, Seq(part)).cache()
     val (hot, cold) = parts.partition(pins.contains)
     (hot.map(pins), cold)
   }
@@ -138,25 +134,6 @@ private[repro] final class BaseLoader(
 final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf) {
 
   import MultiEventEngine._
-  import Scope.SemanticError
-
-  // ------------------------------------------------------------ validation
-
-  private def validate(q: MultiEventQuery): Unit = {
-    val aliases = q.events.map(_.alias)
-    if (aliases.distinct.size != aliases.size)
-      throw SemanticError(s"duplicate event aliases in ${aliases.mkString(",")}")
-    val kinds = scala.collection.mutable.Map[String, String]()
-    for (e <- q.events; (v, k, _) <- Ast.entityOccurrences(e)) {
-      kinds.get(v).foreach { k0 =>
-        if (k0 != k) throw SemanticError(s"variable '$v' used as both $k0 and $k")
-      }
-      kinds(v) = k
-    }
-    for (t <- q.temps; side <- Seq(t.left, t.right))
-      if (!aliases.contains(side))
-        throw SemanticError(s"temporal relation references undeclared event '$side'")
-  }
 
   /** Per-query relevant-set caches, rotated so at most a handful stay
     * pinned (a result DataFrame may be collected after the next query has
@@ -182,14 +159,13 @@ final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf)
 
   /** Run a multievent query and return the projected matches. */
   def execute(q: MultiEventQuery): DataFrame = {
-    validate(q)
     val scope = new Scope(q.events)
     val out = Scope.shape(q)
     val (base, footRows) = loader.baseEventsWithSize(q.globals)
     val preds = q.events.map(PatternCompiler.compile)
     val cols = usedColumns(q, scope)
 
-    // Cost-based fast path: a footprint whose Parquet footers say it is
+    // Cost-based fast path: a footprint whose catalog size says it is
     // small (a host-day, or every host's events of a day at small scale)
     // bounds every pattern, so a multi-pattern query over it is joined in
     // the driver from one Spark action. A driver join that outgrows its

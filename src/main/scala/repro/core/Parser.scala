@@ -117,23 +117,33 @@ object Parser {
       MultiEventQuery(globals, events, temps, rets, grp, hav)
     }
 
+    /** Event patterns, each with a distinct alias, and each entity
+      * variable of one kind throughout.
+      */
     private def parseEventDecls(): Seq[EventPat] = {
       val out = Seq.newBuilder[EventPat]
+      val aliases = scala.collection.mutable.Set[String]()
+      val kinds = scala.collection.mutable.Map[String, String]()
       while (cur.kind == TIdent && entityKinds.contains(cur.text.toLowerCase)) {
-        val subj = parseEntity()
+        val subj = parseEntity(kinds)
         val op = ident().toLowerCase
-        val obj = parseEntity()
+        val obj = parseEntity(kinds)
         expectIdent("as")
+        if (cur.kind == TIdent && aliases.contains(cur.text)) fail(s"duplicate event alias '${cur.text}'")
         val alias = ident()
+        aliases += alias
         out += EventPat(subj, op, obj, alias)
       }
       out.result()
     }
 
-    private def parseEntity(): EntityPat = {
+    private def parseEntity(kinds: scala.collection.mutable.Map[String, String]): EntityPat = {
       val kind = ident().toLowerCase
       if (!entityKinds.contains(kind)) fail(s"unknown entity kind '$kind'")
+      for (k <- kinds.get(cur.text) if cur.kind == TIdent && k != kind)
+        fail(s"variable '${cur.text}' used as both $k and $kind")
       val name = ident()
+      kinds(name) = kind
       val filter =
         if (cur.is("[")) {
           i += 1
@@ -148,13 +158,21 @@ object Parser {
       EntityPat(kind, name, filter)
     }
 
+    /** Temporal relations between declared events; after `with`, at least
+      * one.
+      */
     private def parseTempRels(aliases: Set[String]): Seq[TempRel] = {
       val out = Seq.newBuilder[TempRel]
-      if (cur.isIdent("with")) i += 1
-      var more = cur.kind == TIdent && aliases.contains(cur.text) &&
+      def alias(): String =
+        if (cur.kind == TIdent && !aliases.contains(cur.text))
+          fail(s"temporal relation names undeclared event '${cur.text}'")
+        else ident()
+      val withKw = cur.isIdent("with")
+      if (withKw) i += 1
+      var more = withKw || cur.kind == TIdent && aliases.contains(cur.text) &&
                  (toks(i + 1).isIdent("before") || toks(i + 1).isIdent("after") || toks(i + 1).is("->"))
       while (more) {
-        var left = ident()
+        var left = alias()
         var chain = true
         while (chain) {
           val rel =
@@ -164,13 +182,12 @@ object Parser {
             else fail("expected 'before', 'after' or '->'")
           if (cur.kind == TIdent && cur.text == left)
             fail(s"event '$left' cannot be ordered against itself")
-          val right = ident()
+          val right = alias()
           out += TempRel(left, rel, right)
           left = right
           chain = cur.isIdent("before") || cur.isIdent("after") || cur.is("->")
         }
         if (cur.is(",")) { i += 1 } else more = false
-        if (more && !(cur.kind == TIdent && aliases.contains(cur.text))) fail("expected event alias")
       }
       out.result()
     }

@@ -21,20 +21,6 @@ object EventSchema {
     val Proc = "proc"
     val File = "file"
     val Ip   = "ip"
-    val all: Seq[String] = Seq(Proc, File, Ip)
-  }
-
-  /** Operations recorded by the collection agents. The set is open in the
-    * language (any identifier parses) but generators/tests use these.
-    */
-  object Op {
-    val Start   = "start"   // proc starts proc
-    val Execute = "execute" // proc executes file (image load / script exec)
-    val Read    = "read"    // proc reads file / reads from ip
-    val Write   = "write"   // proc writes file / sends to ip
-    val Delete  = "delete"  // proc deletes file
-    val Connect = "connect" // proc opens a connection to ip (cross-host link)
-    val all: Seq[String] = Seq(Start, Execute, Read, Write, Delete, Connect)
   }
 
   val schema: StructType = StructType(Seq(

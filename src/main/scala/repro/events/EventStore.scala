@@ -1,14 +1,12 @@
 package repro.events
 
-import java.nio.file.{Files, Paths}
+import java.nio.file.{Files, Path, Paths}
 
 import scala.jdk.CollectionConverters._
 
-import org.apache.hadoop.fs.Path
-import org.apache.parquet.hadoop.ParquetFileReader
-import org.apache.parquet.hadoop.util.HadoopInputFile
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.unsafe.types.UTF8String
 
 /** Domain-specific storage for system monitoring data.
   *
@@ -21,7 +19,10 @@ import org.apache.spark.sql.functions._
   *    investigation query prunes to exactly its (agent, day) directories;
   *  - `by_day/day=D/` — a coalesced per-day copy (few large files) for
   *    cross-host queries, which would otherwise open one small file per
-  *    host.
+  *    host;
+  *  - `catalog.tsv` — one `agent_id \t day \t rows` line per `(agent, day)`
+  *    partition, written at ingest: the store's own statistics, from which
+  *    the engine lists and sizes a footprint without touching the layouts.
   *
   * Global constraints of an AIQL query (`agentid = …`, `(at "…")`) prune
   * whole directories at file-listing time — one of the engine's
@@ -32,13 +33,17 @@ object EventStore {
 
   private def byAgentDay(path: String) = s"$path/by_agent_day"
   private def byDay(path: String) = s"$path/by_day"
+  private def catalogFile(path: String): Path = Paths.get(path, "catalog.tsv")
 
   /** Write `events` (conforming to [[EventSchema.schema]]) as a partitioned
-    * store at `path`, in both layouts. Exact duplicate interactions (same
-    * [[EventSchema.dedupKey]]) are collapsed to one row, keeping the
-    * smallest `event_id`.
+    * store at `path`, in both layouts, and its catalog. Exact duplicate
+    * interactions (same [[EventSchema.dedupKey]]) are collapsed to one row,
+    * keeping the smallest `event_id`. The old catalog is deleted first and
+    * the new one written last, so a write that fails leaves a store that
+    * cannot be read.
     */
   def write(events: DataFrame, path: String): Unit = {
+    Files.deleteIfExists(catalogFile(path))
     val deduped = dedup(events).cache()
     try {
       // repartition on the layout keys so each leaf directory holds one
@@ -51,8 +56,22 @@ object EventStore {
         .mode("overwrite")
         .partitionBy("day")
         .parquet(byDay(path))
+      val lines = countPartitions(deduped).toSeq.sorted.map { case ((a, d), n) => s"$a\t$d\t$n" }
+      Files.write(catalogFile(path), lines.asJava)
     } finally deduped.unpersist()
   }
+
+  /** Rows per `(agent_id, day)` of `events`, counted inside each task and
+    * merged in the driver: one job, and no shuffle. The tasks read Spark's
+    * internal rows, which skips converting each one to a [[Row]]; a row's
+    * `day` may point into a reused buffer, so it is copied.
+    */
+  private def countPartitions(events: DataFrame): Map[(Int, String), Long] =
+    events.select("agent_id", "day").queryExecution.toRdd.mapPartitions { rows =>
+      val n = scala.collection.mutable.Map[(Int, UTF8String), Long]().withDefaultValue(0L)
+      rows.foreach(r => n((r.getInt(0), r.getUTF8String(1).clone())) += 1)
+      n.iterator.map { case ((a, d), c) => ((a, d.toString), c) }
+    }.collect().toSeq.groupMapReduce(_._1)(_._2)(_ + _)
 
   /** Ingestion-time deduplication: one row per logical interaction key. */
   def dedup(events: DataFrame): DataFrame = {
@@ -79,59 +98,40 @@ object EventStore {
     readDirs(spark, base, dirs)
   }
 
-  /** The number of rows [[readPruned]] returns, summed from the row counts
-    * in the Parquet footers of the files it lists: no Spark job, and no
-    * data page is read.
+  /** The number of rows [[readPruned]] returns, summed from the store's
+    * catalog: no Spark job, and no file of the layouts is opened.
     */
-  def prunedRows(spark: SparkSession, path: String,
-                 agents: Option[Seq[Int]], days: Option[Seq[String]]): Long =
-    footerRows(spark, prunedDirs(path, agents, days)._2)
-
-  /** The row counts in the Parquet footers of the data files under `dirs`. */
-  private def footerRows(spark: SparkSession, dirs: Seq[String]): Long = {
-    val conf = spark.sparkContext.hadoopConfiguration
-    dirs.iterator.flatMap { dir =>
-      val files = Files.walk(Paths.get(dir))
-      try files.iterator.asScala.filter(isDataFile).toList finally files.close()
-    }.map { f =>
-      val reader = ParquetFileReader.open(HadoopInputFile.fromPath(new Path(f.toUri), conf))
-      try reader.getRecordCount finally reader.close()
+  def prunedRows(path: String, agents: Option[Seq[Int]], days: Option[Seq[String]]): Long =
+    catalog(path).collect {
+      case ((a, d), n) if agents.forall(_.contains(a)) && days.forall(_.contains(d)) => n
     }.sum
-  }
 
   /** The base path and the directories a pruned read lists: the `(agent,
     * day)` partitions of agent-bound reads, the day directories of day-only
-    * reads, and all of `by_day` for the whole store.
+    * reads, and all of `by_day` for the whole store. Every read checks that
+    * the store has its catalog.
     */
   private def prunedDirs(path: String, agents: Option[Seq[Int]],
-                         days: Option[Seq[String]]): (String, Seq[String]) =
+                         days: Option[Seq[String]]): (String, Seq[String]) = {
+    val stored = catalog(path).keySet
     (agents, days) match {
       case (None, None) => (byDay(path), Seq(byDay(path)))
-      case (Some(as), _) => (byAgentDay(path), partitions(path, as, days).map(partitionDir(path)))
+      case (Some(as), _) => (byAgentDay(path), partitionsIn(stored, as, days).map(partitionDir(path)))
       case (None, Some(ds)) =>
-        val dayDirs = subdirs(byDay(path), "day=").filter(d => ds.contains(d.stripPrefix("day=")))
-        (byDay(path), dayDirs.map(d => s"${byDay(path)}/$d"))
+        (byDay(path), stored.map(_._2).filter(ds.contains).toSeq.sorted.map(d => s"${byDay(path)}/day=$d"))
     }
-
-  /** A Parquet data file, as Spark's file listing sees one (it skips names
-    * starting with `_` or `.`).
-    */
-  private def isDataFile(p: java.nio.file.Path): Boolean = {
-    val name = p.getFileName.toString
-    Files.isRegularFile(p) && name.endsWith(".parquet") &&
-      !name.startsWith("_") && !name.startsWith(".")
   }
 
   /** The `(agent_id, day)` partitions the store holds for `agents`, on
     * `days` when given and on every stored day otherwise.
     */
-  def partitions(path: String, agents: Seq[Int],
-                 days: Option[Seq[String]]): Seq[(Int, String)] =
-    for {
-      a <- agents.distinct
-      d <- subdirs(s"${byAgentDay(path)}/agent_id=$a", "day=").map(_.stripPrefix("day=")).sorted
-      if days.forall(_.contains(d))
-    } yield (a, d)
+  def partitions(path: String, agents: Seq[Int], days: Option[Seq[String]]): Seq[(Int, String)] =
+    partitionsIn(catalog(path).keySet, agents, days)
+
+  private def partitionsIn(stored: Set[(Int, String)], agents: Seq[Int],
+                           days: Option[Seq[String]]): Seq[(Int, String)] =
+    agents.distinct.flatMap(a =>
+      stored.filter(p => p._1 == a && days.forall(_.contains(p._2))).toSeq.sortBy(_._2))
 
   /** Read `(agent_id, day)` partitions of the `by_agent_day` layout, in one
     * scan over their directories.
@@ -139,25 +139,18 @@ object EventStore {
   def readPartitions(spark: SparkSession, path: String, parts: Seq[(Int, String)]): DataFrame =
     readDirs(spark, byAgentDay(path), parts.map(partitionDir(path)))
 
-  /** The number of rows [[readPartitions]] returns for `parts`, from their
-    * Parquet footers.
-    */
-  def partitionRows(spark: SparkSession, path: String, parts: Seq[(Int, String)]): Long =
-    footerRows(spark, parts.map(partitionDir(path)))
-
   private def partitionDir(path: String)(part: (Int, String)): String =
     s"${byAgentDay(path)}/agent_id=${part._1}/day=${part._2}"
 
-  /** Names of the subdirectories of `path` that start with `prefix`. */
-  private def subdirs(path: String, prefix: String): Seq[String] = {
-    val p = Paths.get(path)
-    if (!Files.isDirectory(p)) Seq.empty
-    else Files.list(p).iterator.asScala
-      .filter(Files.isDirectory(_))
-      .map(_.getFileName.toString)
-      .filter(_.startsWith(prefix))
-      .toSeq
-  }
+  /** Rows per `(agent_id, day)` partition, as [[write]] recorded them. A
+    * store without its catalog is an error (`NoSuchFileException` naming
+    * the file), never an empty store.
+    */
+  private def catalog(path: String): Map[(Int, String), Long] =
+    Files.readAllLines(catalogFile(path)).asScala.map { line =>
+      val Array(a, d, n) = line.split('\t')
+      (a.toInt, d) -> n.toLong
+    }.toMap
 
   private def readDirs(spark: SparkSession, basePath: String, dirs: Seq[String]): DataFrame =
     if (dirs.isEmpty)

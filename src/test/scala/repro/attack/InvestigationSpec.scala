@@ -10,7 +10,8 @@ import repro.core._
   * multievent + 1 anomaly queries run over the synthetic enterprise trace;
   * every query must (a) recover its ground-truth attack binding and (b)
   * return exactly the same rows as the semantically equivalent SQL executed
-  * by the naive baseline.
+  * by the naive baseline, also with the join in declared order and with no
+  * broadcast.
   */
 class InvestigationSpec extends SparkSpec {
 
@@ -20,6 +21,11 @@ class InvestigationSpec extends SparkSpec {
     df
   }
   private lazy val aiql = new Aiql(spark, InMemory(events))
+  private val armConfs = Seq(
+    "declared-order" -> AiqlConf(selectivityOrdering = false),
+    "no-broadcast" -> AiqlConf(broadcastThreshold = -1),
+  )
+  private lazy val arms = armConfs.map { case (arm, conf) => arm -> new Aiql(spark, InMemory(events), conf) }.toMap
   private lazy val baseline = new NaiveSqlBaseline(spark, events)
 
   for (q <- InvestigationQueries.all) {
@@ -33,6 +39,11 @@ class InvestigationSpec extends SparkSpec {
     test(s"${q.name} matches the semantically equivalent SQL") {
       TestUtil.assertSameRows(aiql.query(q.aiql), baseline.execute(q.aiql), q.name)
     }
+
+    for ((arm, _) <- armConfs)
+      test(s"${q.name} matches the semantically equivalent SQL: $arm") {
+        TestUtil.assertSameRows(arms(arm).query(q.aiql), baseline.execute(q.aiql), s"${q.name} $arm")
+      }
   }
 
   test("the anomaly query pinpoints powershell.exe, not the beacon-free sbblv") {

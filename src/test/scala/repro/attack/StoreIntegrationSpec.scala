@@ -83,7 +83,7 @@ class StoreIntegrationSpec extends SparkSpec {
   test("first touches and day-wide joins run one Spark job each, query and collect together") {
     def run(aiql: Aiql, name: String): Unit = aiql.query(InvestigationQueries.byName(name).aiql).collect()
     withStore() { aiql =>
-      // a pin is sized from its footers and materialized by the query's own job
+      // a pin is sized from the catalog and materialized by the query's own job
       val jobs = Seq(
         "q04 on a fresh store" -> jobsOf(run(aiql, "q04")),
         "q19 on three new partitions" -> jobsOf(run(aiql, "q19")),
@@ -131,7 +131,7 @@ class StoreIntegrationSpec extends SparkSpec {
     withStore()(a => assert(TestUtil.isDriverLocal(a.query(text))))
   }
 
-  // Day-wide and all-host footprints are sized from the Parquet footers
+  // Day-wide and all-host footprints are sized from the store's catalog
   // too, so their small multi-pattern queries are joined in the driver.
   private val q08 = InvestigationQueries.byName("q08").aiql
 

@@ -6,6 +6,7 @@ import repro.{Oracle, SparkSpec, TestUtil}
 import repro.baseline.NaiveSqlBaseline
 import repro.events.EventStore
 import Ast._
+import Parser.ParseError
 import Scope.SemanticError
 
 class MultiEventEngineSpec extends SparkSpec with EngineFixture {
@@ -164,21 +165,21 @@ class MultiEventEngineSpec extends SparkSpec with EngineFixture {
   // ---------------------------------------------------------- validation
 
   test("duplicate event alias is rejected") {
-    assertThrows[SemanticError](run(
+    assertThrows[ParseError](run(
       s"""proc p read file f as evt
          |proc q write file f as evt
          |return p""".stripMargin))
   }
 
   test("kind-inconsistent variable is rejected") {
-    assertThrows[SemanticError](run(
+    assertThrows[ParseError](run(
       s"""proc p read file f as evt1
          |proc f read file g as evt2
          |return p""".stripMargin))
   }
 
   test("temporal relation on undeclared alias is rejected") {
-    assertThrows[SemanticError](run(
+    assertThrows[ParseError](run(
       s"""proc p read file f as evt1
          |with evt1 before evt9
          |return p""".stripMargin))
@@ -364,7 +365,7 @@ class MultiEventEngineSpec extends SparkSpec with EngineFixture {
        |return p1, p2, i, evt1.agentid, evt2.agentid""".stripMargin,
   )
   // Day-wide copies of them follow: their by_day footprint is sized from
-  // the Parquet footers, so they are joined in the driver too.
+  // the store's catalog, so they are joined in the driver too.
   private val driverQueries = twoAgentQueries ++ Seq(
     crossCheckQueries(0).replace(at, s"$at\nagentid = 1"),
     crossCheckQueries(1),

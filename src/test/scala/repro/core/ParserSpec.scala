@@ -129,6 +129,45 @@ class ParserSpec extends AnyFunSuite {
     }
   }
 
+  test("error: a duplicate event alias, at the repeated alias") {
+    val first = "proc p read file f as evt\nproc q write file f as "
+    for (src <- Seq(s"${first}evt\nreturn p", s"forward\n${first}evt\nreturn p")) {
+      val e = intercept[ParseError](Parser.parse(src))
+      assert(e.pos == src.indexOf(first) + first.length, src)
+      assert(e.msg.contains("duplicate event alias 'evt'"), e.msg)
+    }
+  }
+
+  test("error: a variable used as two entity kinds, at its second use") {
+    val multi = "proc p read file f as evt1\nproc f read file g as evt2\nreturn p"
+    val anomaly =
+      """(at "08/01/2023")
+        |window = 1 min, step = 10 sec
+        |proc p read file p as evt
+        |return p, count(evt) as n
+        |group by p""".stripMargin
+    for ((src, at, kinds) <- Seq((multi, multi.indexOf("proc f") + 5, "file and proc"),
+                                 (anomaly, anomaly.indexOf("file p") + 5, "proc and file"))) {
+      val e = intercept[ParseError](Parser.parse(src))
+      assert(e.pos == at, src)
+      assert(e.msg.contains(s"used as both $kinds"), e.msg)
+    }
+  }
+
+  test("error: a temporal relation naming an undeclared event, on either side") {
+    val events =
+      """proc p1 read file f as evt1
+        |proc p2 write file f as evt2
+        |""".stripMargin
+    for (rel <- Seq("with evt1 before evt9", "with evt9 before evt1", "evt1 -> evt2 -> evt9",
+                    "with evt1 before evt2, evt9 after evt1")) {
+      val src = s"$events$rel\nreturn p1"
+      val e = intercept[ParseError](Parser.parse(src))
+      assert(e.pos == events.length + rel.indexOf("evt9"), rel)
+      assert(e.msg.contains("undeclared event 'evt9'"), e.msg)
+    }
+  }
+
   test("return items with aliases and attributes") {
     val q = parseMulti("""proc p read file f as evt
                          |return p as proc_name, f.name as path, evt.ts""".stripMargin)

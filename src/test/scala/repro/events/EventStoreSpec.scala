@@ -1,12 +1,16 @@
 package repro.events
 
-import java.nio.file.{Files, Paths}
+import java.nio.file.{Files, NoSuchFileException, Paths}
 import java.time.LocalDate
 import java.time.format.DateTimeFormatter
 
+import scala.jdk.CollectionConverters._
+
+import org.apache.spark.sql.functions.col
+
 import repro.SparkSpec
 import repro.attack.AttackDataGen
-import repro.core.{AiqlConf, BaseLoader, StorePath}
+import repro.core.{Aiql, AiqlConf, BaseLoader, StorePath}
 import repro.core.Ast.{AgentIn, TimeAt}
 
 class EventStoreSpec extends SparkSpec {
@@ -79,12 +83,13 @@ class EventStoreSpec extends SparkSpec {
     ("day only", None, Some(Seq("2023-08-02"))),
     ("the whole store", None, None),
     ("an agent with no partition", Some(Seq(99)), None),
+    ("two agents", Some(Seq(1, 4)), None),
   )
 
   for ((name, agents, days) <- footerReads) {
     test(s"footer row count equals the pruned read's count: $name") {
       val expected = EventStore.readPruned(spark, dir, agents, days).count()
-      assert(EventStore.prunedRows(spark, dir, agents, days) == expected)
+      assert(EventStore.prunedRows(dir, agents, days) == expected)
       if (agents.contains(Seq(99))) assert(expected == 0)
     }
   }
@@ -101,9 +106,54 @@ class EventStoreSpec extends SparkSpec {
         assert(loader.baseEventsWithSize(globals)._2.contains(expected), s"partition $part")
       }
       assert(loader.pinned == parts.toSet)
-      val two = Seq(parts.head, parts.last)
-      assert(EventStore.partitionRows(spark, dir, two) == EventStore.readPartitions(spark, dir, two).count())
     } finally loader.close()
+  }
+
+  /** The `(agent_id, day) -> rows` lines of a store's catalog. */
+  private def catalog(store: String): Map[(Int, String), Long] =
+    Files.readAllLines(Paths.get(store, "catalog.tsv")).asScala.map { line =>
+      val Array(a, d, n) = line.split('\t')
+      (a.toInt, d) -> n.toLong
+    }.toMap
+
+  test("the catalog lists exactly the by_agent_day partitions, with their rows") {
+    def subdirs(p: java.nio.file.Path) = Files.list(p).iterator.asScala.filter(Files.isDirectory(_)).toSeq
+    val leaves = for {
+      a <- subdirs(Paths.get(s"$dir/by_agent_day"))
+      d <- subdirs(a)
+    } yield (a.getFileName.toString.stripPrefix("agent_id=").toInt, d.getFileName.toString.stripPrefix("day="))
+    val cat = catalog(dir)
+    assert(cat.keySet == leaves.toSet)
+    for (part <- Seq(cat.keys.min, cat.keys.max))
+      assert(cat(part) == EventStore.readPartitions(spark, dir, Seq(part)).count(), s"partition $part")
+  }
+
+  test("rewriting a store replaces its catalog: partitions and sizes follow the new data") {
+    val store = Files.createTempDirectory("evrewrite").toString
+    EventStore.write(events, store)
+    val gone = (4, "2023-08-01")
+    assert(EventStore.partitions(store, Seq(4), None).contains(gone))
+    EventStore.write(events.filter(col("agent_id") =!= 4 || col("day") =!= gone._2), store)
+    assert(!catalog(store).contains(gone))
+    assert(!EventStore.partitions(store, Seq(4), None).contains(gone))
+    for ((agents, days) <- Seq((Some(Seq(4)), None), (None, Some(Seq(gone._2))), (None, None)))
+      assert(EventStore.prunedRows(store, agents, days) ==
+        EventStore.readPruned(spark, store, agents, days).count(), s"$agents $days")
+  }
+
+  test("a store without its catalog throws instead of reading as empty") {
+    val store = Files.createTempDirectory("evnocat").toString
+    EventStore.write(events, store)
+    Files.delete(Paths.get(store, "catalog.tsv"))
+    val missing = intercept[NoSuchFileException](EventStore.partitions(store, Seq(4), None))
+    assert(missing.getMessage.contains("catalog.tsv"))
+    assertThrows[NoSuchFileException](EventStore.prunedRows(store, None, Some(Seq("2023-08-01"))))
+    assertThrows[NoSuchFileException](EventStore.readPruned(spark, store, Some(Seq(4)), None))
+    assertThrows[NoSuchFileException](EventStore.read(spark, store))
+    val aiql = new Aiql(spark, StorePath(store))
+    try assertThrows[NoSuchFileException](
+      aiql.query("(at \"08/01/2023\")\nagentid = 4\nproc p write file f as evt\nreturn p"))
+    finally aiql.close()
   }
 
   test("flat store has no partition directories") {
