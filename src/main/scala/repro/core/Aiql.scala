@@ -18,7 +18,11 @@ final class Aiql(
   private val multi = new MultiEventEngine(loader, conf)
   private val anomaly = new AnomalyEngine(loader)
 
-  /** Parse + execute an AIQL query text. */
+  /** Parse + execute an AIQL query text. The result of a query over a small
+    * store footprint (`AiqlConf.broadcastThreshold`) belongs to the engine's
+    * interpreted session, which carries the caller's SQL settings, not to
+    * `spark`.
+    */
   def query(text: String): DataFrame = execute(Parser.parse(text))
 
   /** Execute an already-parsed query. */

@@ -26,13 +26,16 @@ final class AnomalyEngine private[repro] (loader: BaseLoader) {
     val (t0, t1) = Times.window(q.globals).getOrElse(
       throw Scope.SemanticError("anomaly query requires a global time window"))
 
-    val base = loader.baseEvents(q.globals).filter(PatternCompiler.compile(q.event))
+    val (events, footRows) = loader.baseEventsWithSize(q.globals)
+    val base = events.filter(PatternCompiler.compile(q.event))
 
     // explode each event into all windows covering its timestamp
     val nWin = ((t1 - t0 + q.stepMs - 1) / q.stepMs).toInt
     val whi = least(lit(nWin - 1), floor((col("ts") - t0) / q.stepMs)).cast("long")
     val wlo = greatest(lit(0L), (floor((col("ts") - t0 - q.windowMs) / q.stepMs) + 1).cast("long"))
-    val windowed = base.withColumn("win", explode(sequence(wlo, whi)))
+    val exploded = base.withColumn("win", explode(sequence(wlo, whi)))
+    // a small footprint aggregates in one task: no exchange, so one job
+    val windowed = if (loader.small(footRows)) exploded.coalesce(1) else exploded
 
     // the single pattern's leaves bind to raw columns
     val scope = new Scope(Seq(q.event))

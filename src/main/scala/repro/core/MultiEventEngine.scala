@@ -30,7 +30,10 @@ final case class AiqlConf(
       * multi-pattern query over a store footprint of at most this many rows
       * (agent-bound, day-wide or the whole store, sized from the store's
       * catalog) is joined in the driver, as long as its joined rows stay
-      * within it.
+      * within it. Every query over such a footprint runs interpreted, in a
+      * session of the engine's own (see [[BaseLoader]]), and its aggregate
+      * in one task, so the frame the engine returns for it belongs to that
+      * session.
       */
     broadcastThreshold: Long = 200000,
 )
@@ -55,11 +58,39 @@ final case class InMemory(df: DataFrame) extends EventSource
   * Spark's block manager bounds their memory and evicts their blocks least
   * recently used. One loader serves all engines of an [[Aiql]]. Release
   * with [[close]].
+  *
+  * A small store footprint (see [[small]]) is read through the loader's
+  * own interpreted session: a session of the same Spark context with the
+  * caller's modifiable SQL settings, but neither whole-stage code
+  * generation nor generated expression classes. Such a query runs in
+  * milliseconds, and compiling its generated classes would cost more than
+  * it saves (Kohn, Leis & Neumann, "Adaptive Execution of Compiled
+  * Queries", ICDE 2018). Spark runs a combined plan in the session of its
+  * left-most frame, so every frame built on the base events of a small
+  * footprint, and the result an engine returns for it, belongs to that
+  * session. Pins are shared: both sessions read through one cache manager.
   */
 private[repro] final class BaseLoader(
     spark: SparkSession, source: EventSource, conf: AiqlConf) {
 
   private val pins = scala.collection.mutable.Map[(Int, String), DataFrame]()
+
+  /** The session small footprints run in, with the caller's modifiable SQL
+    * settings as they are when the loader first reads one.
+    */
+  private lazy val interpreted: SparkSession = {
+    val s = spark.newSession()
+    for ((k, v) <- spark.conf.getAll if spark.conf.isModifiable(k)) s.conf.set(k, v)
+    s.conf.set("spark.sql.codegen.wholeStage", "false")
+    s.conf.set("spark.sql.codegen.factoryMode", "NO_CODEGEN")
+    s
+  }
+
+  /** Is a footprint of `rows` (None: unknown) small enough to be joined in
+    * the driver and run interpreted? The gate is `broadcastThreshold`.
+    */
+  def small(rows: Option[Long]): Boolean =
+    conf.broadcastThreshold >= 0 && rows.exists(_ <= conf.broadcastThreshold)
 
   /** The `(agent_id, day)` partitions pinned in memory. */
   def pinned: Set[(Int, String)] = synchronized(pins.keySet.toSet)
@@ -70,9 +101,6 @@ private[repro] final class BaseLoader(
     pins.clear()
   }
 
-  def baseEvents(globals: Seq[Ast.Global]): DataFrame =
-    baseEventsWithSize(globals)._1
-
   /** Base events for the globals plus, for a store, the footprint's row
     * count from the store's catalog (no Spark job). The residual global
     * predicate is always applied on top of the (possibly partition-pruned)
@@ -82,7 +110,9 @@ private[repro] final class BaseLoader(
     * footprint then reads its pinned partitions from their pins and the
     * others from one `by_agent_day` scan. A day-wide or whole-store
     * footprint is left to the vectorized Parquet scan, which outruns Spark's
-    * in-memory cache format on wide rows.
+    * in-memory cache format on wide rows. The frame of a [[small]]
+    * footprint belongs to the interpreted session: it is unioned onto an
+    * empty local relation of that session, a branch the optimizer removes.
     */
   def baseEventsWithSize(globals: Seq[Ast.Global]): (DataFrame, Option[Long]) = {
     val (df, rows) = source match {
@@ -102,7 +132,9 @@ private[repro] final class BaseLoader(
             reads.reduce(_ union _)
           case None => EventStore.readPruned(spark, p, agents, days)
         }
-        (df, Some(EventStore.prunedRows(p, agents, days)))
+        val rows = Some(EventStore.prunedRows(p, agents, days))
+        if (small(rows)) (interpreted.createDataFrame(java.util.List.of[Row](), df.schema).union(df), rows)
+        else (df, rows)
     }
     (df.filter(PatternCompiler.globalPred(globals)), rows)
   }
@@ -170,12 +202,14 @@ final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf)
     // bounds every pattern, so a multi-pattern query over it is joined in
     // the driver from one Spark action. A driver join that outgrows its
     // bound runs as staged Spark joins, as for a footprint of unknown size.
-    val smallFoot = conf.broadcastThreshold >= 0 &&
-      footRows.exists(_ <= conf.broadcastThreshold)
-    val joined =
-      (if (smallFoot && q.events.size > 1) joinInDriver(q, base, preds, cols) else None)
-        .getOrElse(joinInSpark(q, base, preds, cols))
-    Scope.project(joined, out, e => { val (a, c) = scope.column(e); col(s"${a}__$c") })
+    val smallFoot = loader.small(footRows)
+    val inDriver = if (smallFoot && q.events.size > 1) joinInDriver(q, base, preds, cols) else None
+    val joined = inDriver.getOrElse(joinInSpark(q, base, preds, cols))
+    // a small footprint's aggregate runs in one task: no exchange, so no
+    // shuffle stage
+    val oneTask = smallFoot && out.aggs.nonEmpty && (inDriver.nonEmpty || q.events.size == 1)
+    Scope.project(if (oneTask) joined.coalesce(1) else joined, out,
+      e => { val (a, c) = scope.column(e); col(s"${a}__$c") })
   }
 
   /** The staged Spark plan: per-pattern scans of the relevant set, ordered

@@ -152,9 +152,12 @@ object EventStore {
       (a.toInt, d) -> n.toLong
     }.toMap
 
+  /** One scan over `dirs`; with none, an empty local relation, which the
+    * optimizer folds, so a query over it starts no Spark job.
+    */
   private def readDirs(spark: SparkSession, basePath: String, dirs: Seq[String]): DataFrame =
     if (dirs.isEmpty)
-      spark.createDataFrame(spark.sparkContext.emptyRDD[Row], EventSchema.schema)
+      spark.createDataFrame(java.util.List.of[Row](), EventSchema.schema)
     else
       spark.read
         .option("basePath", basePath)

@@ -3,7 +3,9 @@ package repro.attack
 import java.nio.file.Files
 
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
-import org.apache.spark.sql.Row
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.execution.WholeStageCodegenExec
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 
 import repro.{SparkSpec, TestUtil}
 import repro.baseline.NaiveSqlBaseline
@@ -15,7 +17,7 @@ import repro.events.EventStore
   * naive SQL baseline on both the driver-side and the Spark joins, and the
   * in-memory execution, and pruning must actually reduce scanned files.
   */
-class StoreIntegrationSpec extends SparkSpec {
+class StoreIntegrationSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   private lazy val (storeDir, events) = {
     val dir = Files.createTempDirectory("aiql-store").toString
@@ -63,7 +65,9 @@ class StoreIntegrationSpec extends SparkSpec {
 
   // A host-scoped footprint is small: the default conf joins its multi-
   // pattern queries in the driver, and without broadcasts it runs the
-  // staged Spark plan.
+  // staged Spark plan. So the "driver joins" arm runs every query in the
+  // engine's interpreted session and the "spark joins" arm in the caller's
+  // session, with its generated code.
   private val joinPaths = Seq("driver" -> AiqlConf(), "spark" -> AiqlConf(broadcastThreshold = -1))
 
   for (q <- InvestigationQueries.all; (path, conf) <- joinPaths) {
@@ -89,6 +93,83 @@ class StoreIntegrationSpec extends SparkSpec {
         "q19 on three new partitions" -> jobsOf(run(aiql, "q19")),
         "warm q08" -> { run(aiql, "q08"); jobsOf(run(aiql, "q08")) })
       assert(jobs.forall(_._2 == 1), jobs.mkString(", "))
+    }
+  }
+
+  // A small footprint runs in one Spark job, aggregates included: they run
+  // in one task, with no exchange. A count join aggregates rows joined in
+  // the driver after the collect, so it takes a second job.
+  private val allDays = """(from "08/01/2023 00:00:00" to "08/04/2023 00:00:00")"""
+  private val countJoin =
+    s"""$allDays
+       |proc p1 read file f1 as evt1
+       |proc p1["%bash"] write file f2 as evt2
+       |with evt1 before evt2
+       |return count(evt1) as n""".stripMargin
+  private val anomalyScan =
+    s"""$allDays
+       |window = 30 min, step = 10 min
+       |proc p["%bash"] write ip i as evt
+       |return p, avg(evt.amount) as amt
+       |group by p
+       |having amt > 10 * (amt[1] + amt[2])""".stripMargin
+
+  for ((what, text, jobs) <- Seq(
+         ("q18", InvestigationQueries.byName("q18").aiql, 1),
+         ("q20", InvestigationQueries.byName("q20").aiql, 1),
+         ("a whole-store anomaly query", anomalyScan, 1),
+         ("a whole-store count join with before", countJoin, 2))) {
+    test(s"store-backed $what runs $jobs Spark job(s), query and collect together, and equals the baseline") {
+      val expected = baseline.execute(text)
+      withStore() { aiql =>
+        TestUtil.assertSameRows(aiql.query(text), expected, what) // pins and counts
+        assert(jobsOf(aiql.query(text).collect()) == jobs)
+      }
+    }
+  }
+
+  /** Whole-stage code generation in `df`'s plan, once it has run. */
+  private def compiledStages(df: DataFrame): Int = {
+    df.collect()
+    collect(df.queryExecution.executedPlan) { case w: WholeStageCodegenExec => w }.size
+  }
+
+  for (name <- Seq("q01", "q18", "q19", "q20")) {
+    test(s"store-backed $name runs interpreted on a small footprint and compiled without broadcasts") {
+      val text = InvestigationQueries.byName(name).aiql
+      withStore()(a => assert(compiledStages(a.query(text)) == 0))
+      withStore(AiqlConf(broadcastThreshold = -1))(a => assert(compiledStages(a.query(text)) > 0))
+    }
+  }
+
+  test("the engine's interpreted session carries the caller's runtime SQL settings") {
+    val caller = spark.newSession()
+    caller.conf.set("spark.sql.shuffle.partitions", "7")
+    val text = InvestigationQueries.byName("q18").aiql
+    val aiql = new Aiql(caller, StorePath(storeDir))
+    try {
+      val got = aiql.query(text)
+      assert(!(got.sparkSession eq caller))
+      assert(got.sparkSession.conf.get("spark.sql.shuffle.partitions") == "7")
+      assert(got.sparkSession.conf.get("spark.sql.codegen.wholeStage") == "false")
+      TestUtil.assertSameRows(got, baseline.execute(text), "q18")
+    } finally aiql.close()
+    val compiled = new Aiql(caller, StorePath(storeDir), AiqlConf(broadcastThreshold = -1))
+    try assert(compiled.query(text).sparkSession eq caller) finally compiled.close()
+  }
+
+  for ((what, text) <- Seq(
+         "a multievent query" -> InvestigationQueries.byName("q04").aiql,
+         "a single-pattern query" -> InvestigationQueries.byName("q01").aiql)) {
+    test(s"$what on a day the store does not hold gives the baseline's empty rows and starts no Spark job") {
+      val q = text.replace(AttackDataGen.Day1, "08/09/2023")
+      require(q != text, text)
+      val expected = baseline.execute(q)
+      withStore() { aiql =>
+        TestUtil.assertSameRows(aiql.query(q), expected, q)
+        assert(jobsOf(assert(aiql.query(q).collect().isEmpty)) == 0)
+      }
+      assert(expected.isEmpty)
     }
   }
 
@@ -155,28 +236,13 @@ class StoreIntegrationSpec extends SparkSpec {
     withStore(AiqlConf(broadcastThreshold = dayRows))(a => assert(TestUtil.isDriverLocal(a.query(q08))))
   }
 
-  private val allDays = """(from "08/01/2023 00:00:00" to "08/04/2023 00:00:00")"""
-
   test("an all-host count join over three days is joined in the driver and equals the baseline") {
-    val text =
-      s"""$allDays
-         |proc p1 read file f1 as evt1
-         |proc p1["%bash"] write file f2 as evt2
-         |with evt1 before evt2
-         |return count(evt1) as n""".stripMargin
-    assert(assertBaselineRows(text).head.getLong(0) > 0)
-    withStore()(a => assert(TestUtil.isDriverLocal(a.query(text))))
+    assert(assertBaselineRows(countJoin).head.getLong(0) > 0)
+    withStore()(a => assert(TestUtil.isDriverLocal(a.query(countJoin))))
   }
 
   test("an all-host anomaly scan over three days equals the baseline") {
-    val rows = assertBaselineRows(
-      s"""$allDays
-         |window = 30 min, step = 10 min
-         |proc p["%bash"] write ip i as evt
-         |return p, avg(evt.amount) as amt
-         |group by p
-         |having amt > 10 * (amt[1] + amt[2])""".stripMargin)
-    assert(rows.nonEmpty)
+    assert(assertBaselineRows(anomalyScan).nonEmpty)
   }
 
   for (name <- Seq("q01", "q04", "q08", "q10", "q19", "q20")) {
