@@ -11,10 +11,9 @@ import repro.core.Ast._
   *
   * This models the execution the paper ascribes to PostgreSQL: one big
   * multi-join SQL statement handed to a general-purpose engine with no
-  * domain partition layout, no pruning-power scheduling, and no dynamic
-  * time-bound tightening (Spark's cost-based join reordering is off by
-  * default, so the join tree follows the FROM-clause order — the naive
-  * translation order).
+  * domain partition layout and no pruning-power scheduling (Spark's
+  * cost-based join reordering is off by default, so the join tree follows
+  * the FROM-clause order — the naive translation order).
   */
 final class NaiveSqlBaseline(spark: SparkSession, flatEvents: DataFrame) {
 

@@ -35,7 +35,7 @@ final class AnomalyEngine private[repro] (loader: BaseLoader) {
     val wlo = greatest(lit(0L), (floor((col("ts") - t0 - q.windowMs) / q.stepMs) + 1).cast("long"))
     val exploded = base.withColumn("win", explode(sequence(wlo, whi)))
     // a small footprint aggregates in one task: no exchange, so one job
-    val windowed = if (loader.small(footRows)) exploded.coalesce(1) else exploded
+    val windowed = if (footRows.exists(loader.small)) exploded.coalesce(1) else exploded
 
     // the single pattern's leaves bind to raw columns
     val scope = new Scope(Seq(q.event))

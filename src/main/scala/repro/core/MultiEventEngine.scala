@@ -86,11 +86,11 @@ private[repro] final class BaseLoader(
     s
   }
 
-  /** Is a footprint of `rows` (None: unknown) small enough to be joined in
-    * the driver and run interpreted? The gate is `broadcastThreshold`.
+  /** Is a footprint (or a pattern's matches) of `rows` small enough to be
+    * joined in the driver, broadcast, and run interpreted? The gate is
+    * `broadcastThreshold`.
     */
-  def small(rows: Option[Long]): Boolean =
-    conf.broadcastThreshold >= 0 && rows.exists(_ <= conf.broadcastThreshold)
+  def small(rows: Long): Boolean = conf.broadcastThreshold >= 0 && rows <= conf.broadcastThreshold
 
   /** The `(agent_id, day)` partitions pinned in memory. */
   def pinned: Set[(Int, String)] = synchronized(pins.keySet.toSet)
@@ -102,17 +102,18 @@ private[repro] final class BaseLoader(
   }
 
   /** Base events for the globals plus, for a store, the footprint's row
-    * count from the store's catalog (no Spark job). The residual global
-    * predicate is always applied on top of the (possibly partition-pruned)
-    * scan, so under a `from … to …` window the count is an upper bound.
-    * A footprint bound to exactly one agent first pins its partitions — the
-    * host under investigation, reused by every query on it. Any agent-bound
-    * footprint then reads its pinned partitions from their pins and the
-    * others from one `by_agent_day` scan. A day-wide or whole-store
-    * footprint is left to the vectorized Parquet scan, which outruns Spark's
-    * in-memory cache format on wide rows. The frame of a [[small]]
-    * footprint belongs to the interpreted session: it is unioned onto an
-    * empty local relation of that session, a branch the optimizer removes.
+    * count from the store's catalog (no Spark job), read once to list and
+    * size the footprint. The residual global predicate is always applied on
+    * top of the (possibly partition-pruned) scan, so under a `from … to …`
+    * window the count is an upper bound. A footprint bound to exactly one
+    * agent first pins its partitions — the host under investigation, reused
+    * by every query on it. Any agent-bound footprint then reads its pinned
+    * partitions from their pins and the others from one `by_agent_day`
+    * scan. A day-wide or whole-store footprint is left to the vectorized
+    * Parquet scan, which outruns Spark's in-memory cache format on wide
+    * rows. A [[small]] footprint reads its partitions not pinned (or an
+    * empty relation) in the interpreted session, and that read comes first
+    * in the union with the pins, so the whole frame belongs to it.
     */
   def baseEventsWithSize(globals: Seq[Ast.Global]): (DataFrame, Option[Long]) = {
     val (df, rows) = source match {
@@ -123,18 +124,15 @@ private[repro] final class BaseLoader(
           if (conf.partitionPruning)
             Times.window(globals).map { case (s, t) => Times.daysOf(s, t) }
           else None
-        val df = agents match {
-          case Some(as) =>
-            val (hot, cold) = split(p, EventStore.partitions(p, as, days), admit = as.size == 1)
-            val reads =
-              if (cold.isEmpty && hot.nonEmpty) hot
-              else hot :+ EventStore.readPartitions(spark, p, cold)
-            reads.reduce(_ union _)
-          case None => EventStore.readPruned(spark, p, agents, days)
+        val listed = EventStore.partitions(p, agents, days)
+        val rows = listed.map(_._2).sum
+        val (hot, cold) = agents match {
+          case Some(as) => split(p, listed.map(_._1), admit = as.size == 1)
+          case None => (Nil, listed.map(_._1))
         }
-        val rows = Some(EventStore.prunedRows(p, agents, days))
-        if (small(rows)) (interpreted.createDataFrame(java.util.List.of[Row](), df.schema).union(df), rows)
-        else (df, rows)
+        val read = EventStore.readPartitions(
+          if (small(rows)) interpreted else spark, p, cold, wholeDays = agents.isEmpty)
+        ((read +: hot).reduce(_ union _), Some(rows))
     }
     (df.filter(PatternCompiler.globalPred(globals)), rows)
   }
@@ -196,15 +194,21 @@ final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf)
     val (base, footRows) = loader.baseEventsWithSize(q.globals)
     val preds = q.events.map(PatternCompiler.compile)
     val cols = usedColumns(q, scope)
+    // Relevant-set extraction: one pass over the (pruned) base keeps only
+    // rows matching SOME pattern, projected to the columns the query can
+    // touch, each flagged (`match<i>`) with the patterns it matches. Both
+    // executors read it, and count each pattern's matches from its flags.
+    val relevant = base.filter(preds.reduce(_ || _))
+      .select(cols.map(col) ++ preds.zipWithIndex.map { case (p, i) => p.as(s"match$i") }: _*)
 
     // Cost-based fast path: a footprint whose catalog size says it is
     // small (a host-day, or every host's events of a day at small scale)
     // bounds every pattern, so a multi-pattern query over it is joined in
     // the driver from one Spark action. A driver join that outgrows its
     // bound runs as staged Spark joins, as for a footprint of unknown size.
-    val smallFoot = loader.small(footRows)
-    val inDriver = if (smallFoot && q.events.size > 1) joinInDriver(q, base, preds, cols) else None
-    val joined = inDriver.getOrElse(joinInSpark(q, base, preds, cols))
+    val smallFoot = footRows.exists(loader.small)
+    val inDriver = if (smallFoot && q.events.size > 1) joinInDriver(q, relevant, cols) else None
+    val joined = inDriver.getOrElse(joinInSpark(q, relevant, cols))
     // a small footprint's aggregate runs in one task: no exchange, so no
     // shuffle stage
     val oneTask = smallFoot && out.aggs.nonEmpty && (inDriver.nonEmpty || q.events.size == 1)
@@ -212,52 +216,37 @@ final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf)
       e => { val (a, c) = scope.column(e); col(s"${a}__$c") })
   }
 
-  /** The staged Spark plan: per-pattern scans of the relevant set, ordered
-    * by pruning power, joined left-deep with stats-gated broadcasts. Columns
-    * are prefixed with the event alias.
+  /** The staged Spark plan: per-pattern scans of the cached relevant set,
+    * ordered by pruning power, joined left-deep with stats-gated broadcasts.
+    * Columns are prefixed with the event alias.
     */
-  private def joinInSpark(q: MultiEventQuery, base: DataFrame, preds: Seq[Column],
-                          cols: Seq[String]): DataFrame = {
+  private def joinInSpark(q: MultiEventQuery, relevant: DataFrame, cols: Seq[String]): DataFrame = {
     val n = q.events.size
 
-    // Relevant-set extraction: one pass over the (pruned) base keeps only
-    // rows matching SOME pattern, projected to the columns the query can
-    // touch; the statistics aggregation and every join leg then read this
-    // much smaller cached set instead of re-scanning the base per pattern.
-    val relevant =
-      if (n <= 1) base.select(cols.map(col): _*)
-      else registerRelevant(
-        base.filter(preds.reduce(_ || _)).select(cols.map(col): _*).cache())
-
-    // pruning-power statistics: ALL pattern counts from one scan (which
-    // also materializes the relevant-set cache) — the engine's analog of
-    // consulting DB stats. A single pattern has nothing to order or join.
-    val counts: Array[Long] =
-      if (n <= 1) Array.fill(n)(-1L)
+    // pruning-power statistics: ALL pattern counts from one scan of the
+    // flags, which also materializes the relevant-set cache that every join
+    // leg then reads — the engine's analog of consulting DB stats. A single
+    // pattern has nothing to order or join.
+    val rel = if (n > 1) registerRelevant(relevant.cache()) else relevant
+    val counts: Seq[Long] =
+      if (n <= 1) Seq(-1L)
       else {
-        val aggs = preds.map(p => count(when(p, lit(1))))
-        relevant.agg(aggs.head, aggs.tail: _*).collect()(0)
-          .toSeq.map(_.asInstanceOf[Long]).toArray
+        val aggs = q.events.indices.map(i => count(when(col(s"match$i"), lit(1))))
+        rel.agg(aggs.head, aggs.tail: _*).collect()(0).toSeq.map(_.asInstanceOf[Long])
       }
-
-    val order: Seq[Int] =
-      if (conf.selectivityOrdering) q.events.indices.sortBy(i => (counts(i), i))
-      else q.events.indices
     val knownEmpty = counts.contains(0L)
 
     // one data query per pattern, columns prefixed with the event alias
     def prefixed(i: Int): DataFrame = {
       val a = q.events(i).alias
-      relevant.filter(if (knownEmpty) lit(false) else preds(i))
+      rel.filter(if (knownEmpty) lit(false) else col(s"match$i"))
         .select(cols.map(c => col(c).as(s"${a}__$c")): _*)
     }
-
-    def small(x: Long) = conf.broadcastThreshold >= 0 && x <= conf.broadcastThreshold
 
     var state: DataFrame = null
     var stateEst: Long = -1L // running size upper-bound estimate of `state`
 
-    for (Stage(i, terms) <- stages(q, order)) {
+    for (Stage(i, terms) <- stages(q, counts)) {
       val df = prefixed(i)
       if (state == null) { state = df; stateEst = counts(i) }
       else {
@@ -269,9 +258,9 @@ final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf)
         // joins can only multiply through shared keys, which the staged
         // order keeps rare, so the smaller measured side wins the hint.
         val (l, r) =
-          if (small(counts(i)) && (!small(stateEst) || counts(i) <= stateEst))
+          if (loader.small(counts(i)) && (!loader.small(stateEst) || counts(i) <= stateEst))
             (state, broadcast(df))
-          else if (small(stateEst)) (broadcast(state), df)
+          else if (loader.small(stateEst)) (broadcast(state), df)
           else (state, df)
         state =
           if (terms.isEmpty) l.crossJoin(r)
@@ -284,27 +273,21 @@ final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf)
 
   /** The staged joins of a small footprint, run in the driver — the paper's
     * engine keeping small per-pattern results in memory and probing them.
-    * One Spark action collects the footprint's rows that match any pattern,
-    * each flagged with the patterns it matches (so Spark still evaluates
-    * every predicate); the flags give exact per-pattern counts for the
-    * pruning-power order. Each stage of [[stages]] is a hash join on its
-    * `Eq` terms; within a bucket, sorted by `ts`, a probe reads only the
-    * range its `Before` terms allow. Returns the joined rows as a local
-    * frame, or None as soon as they outgrow `broadcastThreshold` rows.
+    * One Spark action collects the relevant set; its flags give exact
+    * per-pattern counts for the pruning-power order. Each stage of
+    * [[stages]] is a hash join on its `Eq` terms; within a bucket, sorted by
+    * `ts`, a probe reads only the range its `Before` terms allow. Returns
+    * the joined rows as a local frame, or None as soon as they outgrow
+    * `broadcastThreshold` rows.
     */
-  private def joinInDriver(q: MultiEventQuery, base: DataFrame, preds: Seq[Column],
+  private def joinInDriver(q: MultiEventQuery, relevant: DataFrame,
                            cols: Seq[String]): Option[DataFrame] = {
     val n = q.events.size
-    val flagged = base.filter(preds.reduce(_ || _))
-      .select(cols.map(col) ++ preds.zipWithIndex.map { case (p, i) => p.as(s"match$i") }: _*)
-    val rows = flagged.collect()
+    val rows = relevant.collect()
     val matches = q.events.indices.map { i =>
       val f = cols.size + i
       rows.filter(r => !r.isNullAt(f) && r.getBoolean(f))
     }
-    val order =
-      if (conf.selectivityOrdering) q.events.indices.sortBy(i => (matches(i).length, i))
-      else q.events.indices
 
     val slot = q.events.map(_.alias).zipWithIndex.toMap
     val colAt = cols.zipWithIndex.toMap
@@ -339,12 +322,13 @@ final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf)
       if (size > conf.broadcastThreshold) None else Some(out.result())
     }
 
-    stages(q, order).foldLeft(Option(Vector(new Array[Row](n))))((s, st) => s.flatMap(probe(_, st)))
+    stages(q, matches.map(_.length.toLong))
+      .foldLeft(Option(Vector(new Array[Row](n))))((s, st) => s.flatMap(probe(_, st)))
       .map { tuples =>
         val schema = StructType(for (e <- q.events; c <- cols)
-          yield StructField(s"${e.alias}__$c", flagged.schema(c).dataType))
+          yield StructField(s"${e.alias}__$c", relevant.schema(c).dataType))
         val out = tuples.map(t => Row.fromSeq(t.toSeq.flatMap(r => cols.indices.map(r.get))))
-        base.sparkSession.createDataFrame(out.asJava, schema)
+        relevant.sparkSession.createDataFrame(out.asJava, schema)
       }
   }
 
@@ -377,12 +361,16 @@ final class MultiEventEngine private[repro] (loader: BaseLoader, conf: AiqlConf)
     EventSchema.columns.filter(s.contains)
   }
 
-  /** The staged join: patterns in `order`, except that a pattern connected
-    * to the bound ones (a shared variable or a temporal relation — a
-    * non-empty join) is always taken before one that is not. Both
-    * executions of [[execute]] follow it.
+  /** The staged join: patterns by pruning power — fewest matches first,
+    * by their `counts` — or as declared without `selectivityOrdering`,
+    * except that a pattern connected to the bound ones (a shared variable
+    * or a temporal relation — a non-empty join) is always taken before one
+    * that is not. Both executions of [[execute]] follow it.
     */
-  private def stages(q: MultiEventQuery, order: Seq[Int]): Seq[Stage] = {
+  private def stages(q: MultiEventQuery, counts: Seq[Long]): Seq[Stage] = {
+    val order =
+      if (conf.selectivityOrdering) q.events.indices.sortBy(i => (counts(i), i))
+      else q.events.indices
     val bound = scala.collection.mutable.Set[String]()
     val boundVars = scala.collection.mutable.Map[String, (String, String, String)]()
     val remaining = scala.collection.mutable.ArrayBuffer(order: _*)

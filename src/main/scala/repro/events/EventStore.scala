@@ -86,71 +86,42 @@ object EventStore {
   /** Read the full store (via the coarse per-day layout — fewest files). */
   def read(spark: SparkSession, path: String): DataFrame = readPruned(spark, path, None, None)
 
-  /** Read with spatial/temporal partition pruning: only the directories for
-    * the requested agents/days are listed and scanned — pruning happens at
-    * file-listing time (the store-layout optimization), not merely as a
+  /** Read with spatial/temporal partition pruning: only the directories of
+    * the footprint's [[partitions]] are listed and scanned — pruning happens
+    * at file-listing time (the store-layout optimization), not merely as a
     * pushed filter. Agent-bound reads use the fine `by_agent_day` layout;
     * day-only reads and the whole store use the coalesced `by_day` layout.
     */
   def readPruned(spark: SparkSession, path: String,
-                 agents: Option[Seq[Int]], days: Option[Seq[String]]): DataFrame = {
-    val (base, dirs) = prunedDirs(path, agents, days)
-    readDirs(spark, base, dirs)
-  }
+                 agents: Option[Seq[Int]], days: Option[Seq[String]]): DataFrame =
+    readPartitions(spark, path, partitions(path, agents, days).map(_._1), wholeDays = agents.isEmpty)
 
-  /** The number of rows [[readPruned]] returns, summed from the store's
-    * catalog: no Spark job, and no file of the layouts is opened.
+  /** The footprint of `agents` and `days` (None: all of them): the
+    * `(agent_id, day)` partitions the store holds there, by agent then day,
+    * with their rows as [[write]] recorded them in the catalog — no Spark
+    * job, and no file of the layouts is opened. A store without its catalog
+    * is an error (`NoSuchFileException` naming the file), never an empty
+    * store.
     */
-  def prunedRows(path: String, agents: Option[Seq[Int]], days: Option[Seq[String]]): Long =
-    catalog(path).collect {
-      case ((a, d), n) if agents.forall(_.contains(a)) && days.forall(_.contains(d)) => n
-    }.sum
-
-  /** The base path and the directories a pruned read lists: the `(agent,
-    * day)` partitions of agent-bound reads, the day directories of day-only
-    * reads, and all of `by_day` for the whole store. Every read checks that
-    * the store has its catalog.
-    */
-  private def prunedDirs(path: String, agents: Option[Seq[Int]],
-                         days: Option[Seq[String]]): (String, Seq[String]) = {
-    val stored = catalog(path).keySet
-    (agents, days) match {
-      case (None, None) => (byDay(path), Seq(byDay(path)))
-      case (Some(as), _) => (byAgentDay(path), partitionsIn(stored, as, days).map(partitionDir(path)))
-      case (None, Some(ds)) =>
-        (byDay(path), stored.map(_._2).filter(ds.contains).toSeq.sorted.map(d => s"${byDay(path)}/day=$d"))
-    }
-  }
-
-  /** The `(agent_id, day)` partitions the store holds for `agents`, on
-    * `days` when given and on every stored day otherwise.
-    */
-  def partitions(path: String, agents: Seq[Int], days: Option[Seq[String]]): Seq[(Int, String)] =
-    partitionsIn(catalog(path).keySet, agents, days)
-
-  private def partitionsIn(stored: Set[(Int, String)], agents: Seq[Int],
-                           days: Option[Seq[String]]): Seq[(Int, String)] =
-    agents.distinct.flatMap(a =>
-      stored.filter(p => p._1 == a && days.forall(_.contains(p._2))).toSeq.sortBy(_._2))
-
-  /** Read `(agent_id, day)` partitions of the `by_agent_day` layout, in one
-    * scan over their directories.
-    */
-  def readPartitions(spark: SparkSession, path: String, parts: Seq[(Int, String)]): DataFrame =
-    readDirs(spark, byAgentDay(path), parts.map(partitionDir(path)))
-
-  private def partitionDir(path: String)(part: (Int, String)): String =
-    s"${byAgentDay(path)}/agent_id=${part._1}/day=${part._2}"
-
-  /** Rows per `(agent_id, day)` partition, as [[write]] recorded them. A
-    * store without its catalog is an error (`NoSuchFileException` naming
-    * the file), never an empty store.
-    */
-  private def catalog(path: String): Map[(Int, String), Long] =
-    Files.readAllLines(catalogFile(path)).asScala.map { line =>
+  def partitions(path: String, agents: Option[Seq[Int]],
+                 days: Option[Seq[String]]): Seq[((Int, String), Long)] =
+    Files.readAllLines(catalogFile(path)).asScala.toSeq.map { line =>
       val Array(a, d, n) = line.split('\t')
       (a.toInt, d) -> n.toLong
-    }.toMap
+    }.filter { case ((a, d), _) => agents.forall(_.contains(a)) && days.forall(_.contains(d)) }
+      .sortBy(_._1)
+
+  /** Read listed `(agent_id, day)` partitions in one scan: their
+    * `by_agent_day` directories, or with `wholeDays` the `by_day`
+    * directories of their days (which hold every partition of those days).
+    */
+  def readPartitions(spark: SparkSession, path: String, parts: Seq[(Int, String)],
+                     wholeDays: Boolean = false): DataFrame =
+    if (wholeDays)
+      readDirs(spark, byDay(path), parts.map(_._2).distinct.sorted.map(d => s"${byDay(path)}/day=$d"))
+    else
+      readDirs(spark, byAgentDay(path),
+        parts.map { case (a, d) => s"${byAgentDay(path)}/agent_id=$a/day=$d" })
 
   /** One scan over `dirs`; with none, an empty local relation, which the
     * optimizer folds, so a query over it starts no Spark job.

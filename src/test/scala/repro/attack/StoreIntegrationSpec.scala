@@ -4,7 +4,7 @@ import java.nio.file.Files
 
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.execution.WholeStageCodegenExec
+import org.apache.spark.sql.execution.{FileSourceScanExec, WholeStageCodegenExec}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 
 import repro.{SparkSpec, TestUtil}
@@ -193,6 +193,34 @@ class StoreIntegrationSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   test("a query with an empty pattern gives the baseline's empty rows") {
     val q = InvestigationQueries.byName("q04").aiql.replace("%sbblv.exe", "%no-such.exe")
     for ((path, conf) <- joinPaths) assert(assertBaselineRows(q, conf).isEmpty, path)
+  }
+
+  test("a query with an empty pattern takes the Spark path's known-empty short-circuit: statistics, no join") {
+    val q = InvestigationQueries.byName("q04").aiql.replace("%sbblv.exe", "%no-such.exe")
+    val expected = baseline.execute(q)
+    withStore(AiqlConf(broadcastThreshold = -1)) { aiql =>
+      TestUtil.assertSameRows(aiql.query(q), expected, q) // pins the host-day
+      // the statistics pass is a shuffle stage and its result; a zero count
+      // folds every join leg to an empty relation, which starts no job
+      assert(jobsOf(aiql.query(q).collect()) == 2)
+    }
+    assert(expected.isEmpty)
+  }
+
+  // The statistics pass caches the relevant set; every join leg reads that
+  // cache, so no leg scans the store's files again.
+  for ((what, text) <- Seq(
+         "q04" -> InvestigationQueries.byName("q04").aiql,
+         "q10" -> InvestigationQueries.byName("q10").aiql,
+         "a whole-store count join" -> countJoin)) {
+    test(s"the staged Spark joins of $what read the footprint once, through the relevant set") {
+      withStore(AiqlConf(broadcastThreshold = -1)) { aiql =>
+        val df = aiql.query(text)
+        df.collect()
+        assert(collect(df.queryExecution.executedPlan) { case s: FileSourceScanExec => s }.isEmpty,
+          df.queryExecution.executedPlan.toString)
+      }
+    }
   }
 
   test("a cross product larger than the driver bound falls back to Spark joins") {

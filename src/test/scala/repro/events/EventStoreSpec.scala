@@ -88,8 +88,13 @@ class EventStoreSpec extends SparkSpec {
 
   for ((name, agents, days) <- footerReads) {
     test(s"footer row count equals the pruned read's count: $name") {
-      val expected = EventStore.readPruned(spark, dir, agents, days).count()
-      assert(EventStore.prunedRows(dir, agents, days) == expected)
+      val read = EventStore.readPruned(spark, dir, agents, days)
+      val expected = read.count()
+      val listed = EventStore.partitions(dir, agents, days)
+      assert(listed.map(_._2).sum == expected)
+      // the listing names exactly the partitions the read returns rows of
+      val keys = read.select("agent_id", "day").distinct().collect().map(r => (r.getInt(0), r.getString(1)))
+      assert(listed.map(_._1).toSet == keys.toSet)
       if (agents.contains(Seq(99))) assert(expected == 0)
     }
   }
@@ -98,7 +103,7 @@ class EventStoreSpec extends SparkSpec {
     val mdy = DateTimeFormatter.ofPattern("MM/dd/yyyy")
     val loader = new BaseLoader(spark, StorePath(dir), AiqlConf())
     try {
-      val parts = EventStore.partitions(dir, Seq(1, 2, 4), None)
+      val parts = EventStore.partitions(dir, Some(Seq(1, 2, 4)), None).map(_._1)
       assert(parts.size > 3)
       for (part @ (a, d) <- parts) {
         val globals = Seq(AgentIn(Seq(a)), TimeAt(LocalDate.parse(d).format(mdy)))
@@ -132,12 +137,13 @@ class EventStoreSpec extends SparkSpec {
     val store = Files.createTempDirectory("evrewrite").toString
     EventStore.write(events, store)
     val gone = (4, "2023-08-01")
-    assert(EventStore.partitions(store, Seq(4), None).contains(gone))
+    def agent4 = EventStore.partitions(store, Some(Seq(4)), None).map(_._1)
+    assert(agent4.contains(gone))
     EventStore.write(events.filter(col("agent_id") =!= 4 || col("day") =!= gone._2), store)
     assert(!catalog(store).contains(gone))
-    assert(!EventStore.partitions(store, Seq(4), None).contains(gone))
+    assert(!agent4.contains(gone))
     for ((agents, days) <- Seq((Some(Seq(4)), None), (None, Some(Seq(gone._2))), (None, None)))
-      assert(EventStore.prunedRows(store, agents, days) ==
+      assert(EventStore.partitions(store, agents, days).map(_._2).sum ==
         EventStore.readPruned(spark, store, agents, days).count(), s"$agents $days")
   }
 
@@ -145,9 +151,9 @@ class EventStoreSpec extends SparkSpec {
     val store = Files.createTempDirectory("evnocat").toString
     EventStore.write(events, store)
     Files.delete(Paths.get(store, "catalog.tsv"))
-    val missing = intercept[NoSuchFileException](EventStore.partitions(store, Seq(4), None))
+    val missing = intercept[NoSuchFileException](EventStore.partitions(store, Some(Seq(4)), None))
     assert(missing.getMessage.contains("catalog.tsv"))
-    assertThrows[NoSuchFileException](EventStore.prunedRows(store, None, Some(Seq("2023-08-01"))))
+    assertThrows[NoSuchFileException](EventStore.partitions(store, None, Some(Seq("2023-08-01"))))
     assertThrows[NoSuchFileException](EventStore.readPruned(spark, store, Some(Seq(4)), None))
     assertThrows[NoSuchFileException](EventStore.read(spark, store))
     val aiql = new Aiql(spark, StorePath(store))
